@@ -58,10 +58,11 @@ void BM_TraceWindowMask(benchmark::State& state) {
     return;
   }
   std::size_t w = 0;
+  std::vector<std::uint64_t> words;
   for (auto _ : state) {
     const auto& win = windows[w++ % windows.size()];
-    benchmark::DoNotOptimize(
-        run.trace.changed_mask(win.start_cycle, win.end_cycle).size());
+    run.trace.changed_words(win.start_cycle, win.end_cycle, words);
+    benchmark::DoNotOptimize(words.data());
   }
 }
 BENCHMARK(BM_TraceWindowMask);
@@ -199,18 +200,66 @@ BENCHMARK(BM_CaptureCycle)
     ->Args({1, 17})
     ->Args({1, 32});
 
-void BM_LpCoverageUpdate(benchmark::State& state) {
-  const auto off = core::run_offline_phase(sim::CoreConfig{});
-  util::Rng rng(6);
-  const auto run = shared_simulator().run(riscv::random_program(rng, 96));
-  const auto windows = core::extract_mst(run.trace);
+const core::OfflineResult& shared_offline() {
+  static const core::OfflineResult off =
+      core::run_offline_phase(sim::CoreConfig{});
+  return off;
+}
+
+// Channel-index construction: SignalDb name lookups, path bitmasks and the
+// anchor buckets. Paid once per map, never per iteration.
+void BM_LpCoverageBuild(benchmark::State& state) {
+  const auto& off = shared_offline();
   for (auto _ : state) {
     core::LpCoverageMap lp(off.ifg, off.pdlc,
                            shared_simulator().signal_db());
+    benchmark::DoNotOptimize(lp.total());
+  }
+}
+BENCHMARK(BM_LpCoverageBuild);
+
+void BM_LpCoverageUpdate(benchmark::State& state) {
+  const auto& off = shared_offline();
+  util::Rng rng(6);
+  const auto run = shared_simulator().run(riscv::random_program(rng, 96));
+  const auto windows = core::extract_mst(run.trace);
+  core::LpCoverageMap lp(off.ifg, off.pdlc, shared_simulator().signal_db());
+  for (auto _ : state) {
     benchmark::DoNotOptimize(lp.update(run.trace, windows));
   }
 }
 BENCHMARK(BM_LpCoverageUpdate);
+
+// One worker-side probe per iteration over a realistic window set: the
+// MST windows of random 96-216-instruction programs on the default core,
+// with no covered-set skip (the early-campaign worst case).
+void BM_LpProbe(benchmark::State& state) {
+  const auto& off = shared_offline();
+  const core::LpCoverageMap lp(off.ifg, off.pdlc,
+                               shared_simulator().signal_db());
+  util::Rng rng(7);
+  std::vector<sim::RunResult> runs;
+  std::vector<std::vector<core::SpecWindow>> windows;
+  std::size_t total_windows = 0;
+  for (std::size_t len = 96; len <= 216; len += 8) {
+    runs.push_back(shared_simulator().run(riscv::random_program(rng, len)));
+    windows.push_back(core::extract_mst(runs.back().trace));
+    total_windows += windows.back().size();
+  }
+  std::vector<std::size_t> hits;
+  std::size_t i = 0, probed = 0;
+  for (auto _ : state) {
+    const std::size_t r = i++ % runs.size();
+    lp.probe(runs[r].trace, windows[r], nullptr, hits);
+    probed += windows[r].size();
+    benchmark::DoNotOptimize(hits.data());
+  }
+  state.counters["windows/iter"] =
+      static_cast<double>(total_windows) / static_cast<double>(runs.size());
+  state.counters["windows/s"] = benchmark::Counter(
+      static_cast<double>(probed), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_LpProbe);
 
 }  // namespace
 

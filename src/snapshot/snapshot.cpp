@@ -258,18 +258,20 @@ std::vector<SignalDelta> Trace::diff(std::uint64_t from,
   return out;
 }
 
+std::pair<std::size_t, std::size_t> Trace::window_ticks(
+    std::uint64_t from, std::uint64_t to) const {
+  const auto lo = std::upper_bound(cycles_.begin(), cycles_.end(), from);
+  const auto hi = std::upper_bound(cycles_.begin(), cycles_.end(), to);
+  const auto first = static_cast<std::size_t>(lo - cycles_.begin());
+  const auto end = static_cast<std::size_t>(hi - cycles_.begin());
+  return {first == 0 ? 1 : first, end};
+}
+
 std::vector<std::uint32_t> Trace::change_counts(std::uint64_t from,
                                                 std::uint64_t to) const {
   std::vector<std::uint32_t> counts(db_->size(), 0);
-  if (cycles_.empty()) return counts;
-  // Recorded ticks with from < cycle <= to; the first tick never counts
-  // (its events are the initial values, not transitions).
-  auto lo = std::upper_bound(cycles_.begin(), cycles_.end(), from);
-  auto hi = std::upper_bound(cycles_.begin(), cycles_.end(), to);
-  std::size_t tick = static_cast<std::size_t>(lo - cycles_.begin());
-  const std::size_t end = static_cast<std::size_t>(hi - cycles_.begin());
-  if (tick == 0) tick = 1;
-  for (; tick < end; ++tick) {
+  const auto [first, end] = window_ticks(from, to);
+  for (std::size_t tick = first; tick < end; ++tick) {
     for (std::size_t e = tick_begin(tick); e < tick_end(tick); ++e) {
       ++counts[event_ids_[e]];
     }
@@ -277,21 +279,16 @@ std::vector<std::uint32_t> Trace::change_counts(std::uint64_t from,
   return counts;
 }
 
-std::vector<bool> Trace::changed_mask(std::uint64_t from,
-                                      std::uint64_t to) const {
-  std::vector<bool> mask(db_->size(), false);
-  if (cycles_.empty()) return mask;
-  auto lo = std::upper_bound(cycles_.begin(), cycles_.end(), from);
-  auto hi = std::upper_bound(cycles_.begin(), cycles_.end(), to);
-  std::size_t tick = static_cast<std::size_t>(lo - cycles_.begin());
-  const std::size_t end = static_cast<std::size_t>(hi - cycles_.begin());
-  if (tick == 0) tick = 1;
-  for (; tick < end; ++tick) {
+void Trace::changed_words(std::uint64_t from, std::uint64_t to,
+                          std::vector<std::uint64_t>& out) const {
+  out.assign((db_->size() + 63) / 64, 0);
+  const auto [first, end] = window_ticks(from, to);
+  for (std::size_t tick = first; tick < end; ++tick) {
     for (std::size_t e = tick_begin(tick); e < tick_end(tick); ++e) {
-      mask[event_ids_[e]] = true;
+      const SignalId id = event_ids_[e];
+      out[id / 64] |= std::uint64_t{1} << (id % 64);
     }
   }
-  return mask;
 }
 
 bool Trace::any_nonzero(SignalId id, std::uint64_t from,

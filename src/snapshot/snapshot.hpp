@@ -8,7 +8,7 @@
 // (cycle, signal, new_value) change events instead of materializing one
 // full value vector per cycle. Memory is O(changes + keyframes) instead of
 // O(cycles × signals), and every window query (diff, change_counts,
-// changed_mask) walks only the events inside the window. Periodic
+// changed_words) walks only the events inside the window. Periodic
 // keyframes (one full value vector every kKeyframeInterval ticks) keep
 // random-access materialization O(1) amortized.
 //
@@ -18,11 +18,12 @@
 // trace differential suite replays against.
 #pragma once
 
-#include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "snapshot/signal_db.hpp"
+#include "util/bits.hpp"
 
 namespace specure::snapshot {
 
@@ -91,15 +92,9 @@ class Trace {
   std::uint64_t record_dirty(const std::vector<std::uint64_t>& dirty_words,
                              ValueFn&& value_fn) {
     std::uint64_t toggles = 0;
-    for (std::size_t w = 0; w < dirty_words.size(); ++w) {
-      std::uint64_t bits = dirty_words[w];
-      while (bits != 0) {
-        const std::size_t id =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        toggles += record(static_cast<SignalId>(id), value_fn(id));
-      }
-    }
+    util::for_each_set_bit(dirty_words, [&](std::size_t id) {
+      toggles += record(static_cast<SignalId>(id), value_fn(id));
+    });
     return toggles;
   }
 
@@ -169,8 +164,13 @@ class Trace {
                                            std::uint64_t to) const;
 
   /// Set of signal ids with at least one change at a recorded cycle in
-  /// (from, to]. Cost: O(signals + events inside the window).
-  std::vector<bool> changed_mask(std::uint64_t from, std::uint64_t to) const;
+  /// (from, to], as a word bitset in a caller-owned buffer: bit (id % 64)
+  /// of out[id / 64]. `out` is resized to ceil(signals / 64) words, so a
+  /// reused buffer allocates nothing — this is the per-window query of
+  /// the LP probe and the root-cause scan. Cost: O(signals / 64 + events
+  /// inside the window).
+  void changed_words(std::uint64_t from, std::uint64_t to,
+                     std::vector<std::uint64_t>& out) const;
 
   /// True iff `id`'s value is non-zero at any recorded cycle c with
   /// from < c <= to (pulse detection, e.g. core.lsu.tainted_access).
@@ -205,6 +205,11 @@ class Trace {
   std::uint64_t event_value(std::size_t e) const { return event_values_[e]; }
 
  private:
+  /// Tick indices [first, end) whose events are changes at cycles c with
+  /// from < c <= to. The first tick never counts: its events are the
+  /// initial values, not transitions.
+  std::pair<std::size_t, std::size_t> window_ticks(std::uint64_t from,
+                                                   std::uint64_t to) const;
   /// Tick index of a recorded cycle; throws with the covered range when
   /// the cycle was never recorded.
   std::size_t index_of(std::uint64_t cycle) const;
@@ -251,7 +256,8 @@ class DenseTrace {
   const SignalDb& db() const { return *db_; }
 
   /// Same query semantics as Trace, computed the dense way (full per-tick
-  /// value-vector comparisons).
+  /// value-vector comparisons). changed_mask is Trace::changed_words with
+  /// one bool per signal — the reference the word query is pinned to.
   std::vector<std::uint32_t> change_counts(std::uint64_t from,
                                            std::uint64_t to) const;
   std::vector<bool> changed_mask(std::uint64_t from, std::uint64_t to) const;

@@ -1,8 +1,11 @@
 // Bit-manipulation helpers shared by the ISA layer, the simulator and the
-// snapshot machinery. Everything here is constexpr and header-only.
+// snapshot machinery. Everything here is header-only.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace specure::util {
 
@@ -43,6 +46,17 @@ constexpr std::uint64_t next_pow2(std::uint64_t v) {
 /// log2 of a power of two.
 constexpr unsigned log2_exact(std::uint64_t v) {
   return static_cast<unsigned>(__builtin_ctzll(v));
+}
+
+/// Call fn(index) for every set bit of a word bitset (bit i lives at
+/// words[i / 64] bit i % 64), in ascending index order.
+template <typename Fn>
+void for_each_set_bit(std::span<const std::uint64_t> words, Fn&& fn) {
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+  }
 }
 
 }  // namespace specure::util

@@ -319,23 +319,6 @@ TEST(LpCoverage, EndpointPolicyCoversAtLeastAsMuch) {
   EXPECT_EQ(all.total(), off.pdlc.size());
 }
 
-TEST(LpCoverage, DeltaPathMatchesDenseReferencePath) {
-  const OfflineResult off = run_offline_phase(sim::CoreConfig{});
-  sim::CoreConfig cfg;
-  cfg.record_dense_trace = true;
-  sim::Simulator simulator{cfg};
-  util::Rng rng(4);
-  const auto seed = fuzz::make_bti_seed(rng);
-  const auto run = simulator.run(seed.program);
-  ASSERT_NE(run.dense_trace, nullptr);
-  const auto windows = extract_mst(run.trace);
-  LpCoverageMap a(off.ifg, off.pdlc, simulator.signal_db());
-  LpCoverageMap b(off.ifg, off.pdlc, simulator.signal_db());
-  a.update(run.trace, windows);
-  b.update(*run.dense_trace, windows);
-  EXPECT_EQ(a.covered(), b.covered());
-}
-
 // ---------------------------------------------------------------- engine --
 
 TEST(Engine, CampaignIsDeterministic) {

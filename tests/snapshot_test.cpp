@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "snapshot/signal_db.hpp"
 #include "snapshot/snapshot.hpp"
@@ -15,6 +16,18 @@ SignalDb make_db() {
   db.add("core.b", 8, SignalClass::kArchitectural, true);
   db.add("core.c", 1, SignalClass::kWire, false);
   return db;
+}
+
+/// Trace::changed_words unpacked to one bool per signal.
+std::vector<bool> changed(const Trace& t, std::uint64_t from,
+                          std::uint64_t to) {
+  std::vector<std::uint64_t> words;
+  t.changed_words(from, to, words);
+  std::vector<bool> mask(t.db().size());
+  for (SignalId id = 0; id < mask.size(); ++id) {
+    mask[id] = (words[id / 64] >> (id % 64)) & 1;
+  }
+  return mask;
 }
 
 Snapshot snap(std::uint64_t cycle, std::vector<std::uint64_t> vals) {
@@ -194,7 +207,7 @@ TEST(Trace, DeltaMemoryBeatsDenseRecorder) {
   EXPECT_LT(t.memory_bytes(), dense.memory_bytes());
   // Queries agree between the two recorders.
   EXPECT_EQ(t.change_counts(10, 50), dense.change_counts(10, 50));
-  EXPECT_EQ(t.changed_mask(0, 1000), dense.changed_mask(0, 1000));
+  EXPECT_EQ(changed(t, 0, 1000), dense.changed_mask(0, 1000));
 }
 
 TEST(Trace, ChangeCountsWindow) {
@@ -218,10 +231,45 @@ TEST(Trace, ChangedMask) {
   t.push(snap(1, {0, 0, 0}));
   t.push(snap(2, {1, 0, 0}));
   t.push(snap(3, {1, 0, 1}));
-  const auto mask = t.changed_mask(1, 3);
+  const auto mask = changed(t, 1, 3);
   EXPECT_TRUE(mask[0]);
   EXPECT_FALSE(mask[1]);
   EXPECT_TRUE(mask[2]);
+}
+
+TEST(Trace, ChangedWordsMatchesDenseChangedMask) {
+  // 150 signals, so the word mask spans three words with a partial last
+  // one. Signal i changes at every cycle divisible by (i % 7) + 1.
+  SignalDb db;
+  for (int i = 0; i < 150; ++i) db.add("s" + std::to_string(i), 8);
+  Trace t(&db);
+  DenseTrace dense(&db);
+  for (std::uint64_t c = 3; c <= 40; ++c) {
+    std::vector<std::uint64_t> vals(db.size());
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+      vals[i] = c / (i % 7 + 1);
+    }
+    t.push(snap(c, vals));
+    dense.push(snap(c, std::move(vals)));
+  }
+  // Before and at the first recorded tick (which never counts), empty,
+  // single-tick, ordinary, past the last cycle, and fully out of range.
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> windows = {
+      {0, 3},  {0, 5},   {3, 9},   {2, 2},   {10, 10}, {10, 11},
+      {7, 19}, {30, 90}, {40, 60}, {90, 99}, {0, 1000}};
+  std::vector<std::uint64_t> words = {~0ULL};  // stale content is replaced
+  for (const auto& [from, to] : windows) {
+    t.changed_words(from, to, words);
+    const std::vector<bool> mask = dense.changed_mask(from, to);
+    ASSERT_EQ(words.size(), 3u);
+    for (SignalId id = 0; id < db.size(); ++id) {
+      EXPECT_EQ((words[id / 64] >> (id % 64)) & 1, mask[id] ? 1u : 0u)
+          << "signal " << id << " window (" << from << ", " << to << "]";
+    }
+    EXPECT_EQ(words[2] >> (db.size() % 64), 0u) << "bits past the last id";
+  }
+  t.changed_words(0, 3, words);
+  EXPECT_EQ(words, std::vector<std::uint64_t>(3, 0));  // first tick only
 }
 
 TEST(Trace, EmptyWindowNoChanges) {

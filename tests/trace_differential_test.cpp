@@ -3,9 +3,11 @@
 // the delta-native Trace, and assert every query the Online Phase
 // detectors use answers identically — materialization, diff,
 // toggle-derived change counts, change masks, pulse detection — plus VCD
-// byte-equivalence and a golden-file round-trip through the reader.
+// byte-equivalence, a golden-file round-trip through the reader, and the
+// indexed LP probe against the brute-force channel scan it replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/coverage_calc.hpp"
@@ -16,6 +18,7 @@
 #include "riscv/program.hpp"
 #include "sim/core.hpp"
 #include "snapshot/vcd.hpp"
+#include "util/atomic_bitset.hpp"
 #include "util/rng.hpp"
 
 namespace specure {
@@ -89,12 +92,17 @@ TEST(TraceDifferential, ChangeCountsAndMasksMatchDense) {
     for (const auto& w : core::extract_mst(run.trace)) {
       ranges.emplace_back(w.start_cycle, w.end_cycle);
     }
+    std::vector<std::uint64_t> words;
     for (const auto& [from, to] : ranges) {
       EXPECT_EQ(run.trace.change_counts(from, to),
                 dense.change_counts(from, to))
           << "window [" << from << ", " << to << "]";
-      EXPECT_EQ(run.trace.changed_mask(from, to), dense.changed_mask(from, to))
-          << "window [" << from << ", " << to << "]";
+      const std::vector<bool> mask = dense.changed_mask(from, to);
+      run.trace.changed_words(from, to, words);
+      for (snapshot::SignalId id = 0; id < mask.size(); ++id) {
+        ASSERT_EQ((words[id / 64] >> (id % 64)) & 1, mask[id] ? 1u : 0u)
+            << "signal " << id << " window [" << from << ", " << to << "]";
+      }
     }
   }
 }
@@ -136,16 +144,181 @@ TEST(TraceDifferential, AnyNonzeroMatchesDenseScan) {
   }
 }
 
-TEST(TraceDifferential, LpCoverageIdenticalOnBothPaths) {
+// --- LP probe: anchor index vs brute-force oracle ------------------------
+//
+// The oracle is the probe as it was before the anchor index: every
+// channel against every window, signal by signal, over the dense
+// recorder's change mask. The indexed probe on the delta trace must return
+// exactly the same hits, in the same ascending order.
+
+/// Per channel, its path's SignalDb ids under `policy` (missing names
+/// dropped) — the channel universe the oracle walks.
+std::vector<std::vector<snapshot::SignalId>> oracle_channels(
+    const ift::Ifg& ifg, const ift::PdlcList& pdlc,
+    const snapshot::SignalDb& db, core::LpPolicy policy) {
+  std::vector<std::vector<snapshot::SignalId>> out;
+  for (const auto& ch : pdlc.channels()) {
+    std::vector<snapshot::SignalId> sigs;
+    auto push = [&](ift::NodeId n) {
+      const snapshot::SignalId sid = db.find(ifg.node(n).name);
+      if (sid != snapshot::kInvalidSignal) sigs.push_back(sid);
+    };
+    if (policy == core::LpPolicy::kEndpoints) {
+      push(ch.source);
+      push(ch.sink);
+    } else {
+      for (ift::NodeId n : ch.path) push(n);
+    }
+    out.push_back(std::move(sigs));
+  }
+  return out;
+}
+
+std::vector<std::size_t> oracle_probe(
+    const std::vector<std::vector<snapshot::SignalId>>& channels,
+    const std::vector<std::vector<bool>>& window_masks,
+    const util::AtomicBitset* shadow) {
+  std::vector<bool> hit(channels.size(), false);
+  for (const auto& changed : window_masks) {
+    for (std::size_t c = 0; c < channels.size(); ++c) {
+      if (hit[c] || channels[c].empty()) continue;
+      if (shadow && shadow->test(c)) continue;
+      bool all = true;
+      for (const auto sid : channels[c]) {
+        if (!changed[sid]) {
+          all = false;
+          break;
+        }
+      }
+      if (all) hit[c] = true;
+    }
+  }
+  std::vector<std::size_t> out;
+  for (std::size_t c = 0; c < hit.size(); ++c) {
+    if (hit[c]) out.push_back(c);
+  }
+  return out;
+}
+
+/// The run's MST windows plus the edge shapes: starting at (and, when
+/// possible, before) the first recorded tick, empty, and running past the
+/// last recorded cycle.
+std::vector<core::SpecWindow> probe_windows(const snapshot::Trace& trace) {
+  std::vector<core::SpecWindow> windows = core::extract_mst(trace);
+  const std::uint64_t first = trace.cycle_at(0);
+  const std::uint64_t last = trace.cycle_at(trace.size() - 1);
+  auto add = [&windows](std::uint64_t from, std::uint64_t to) {
+    core::SpecWindow w;
+    w.start_cycle = from;
+    w.end_cycle = to;
+    windows.push_back(w);
+  };
+  add(first, first + 24);
+  if (first > 0) add(first - 1, first + 1);
+  add(last / 2, last / 2);
+  add(last - 8, last + 40);
+  return windows;
+}
+
+TEST(TraceDifferential, LpProbeIndexMatchesBruteForceOracle) {
   const core::OfflineResult off = core::run_offline_phase(sim::CoreConfig{});
+  std::size_t oracle_hits = 0;
   for (const auto& program : corpus()) {
     const sim::RunResult run = dual_run(program);
-    const auto windows = core::extract_mst(run.trace);
-    core::LpCoverageMap delta_map(off.ifg, off.pdlc, run.trace.db());
-    core::LpCoverageMap dense_map(off.ifg, off.pdlc, run.trace.db());
-    delta_map.update(run.trace, windows);
-    dense_map.update(*run.dense_trace, windows);
-    EXPECT_EQ(delta_map.covered_mask(), dense_map.covered_mask());
+    const auto windows = probe_windows(run.trace);
+    std::vector<std::vector<bool>> dense_masks;
+    for (const auto& w : windows) {
+      dense_masks.push_back(
+          run.dense_trace->changed_mask(w.start_cycle, w.end_cycle));
+    }
+    for (const auto policy :
+         {core::LpPolicy::kAllSignals, core::LpPolicy::kEndpoints}) {
+      const core::LpCoverageMap map(off.ifg, off.pdlc, run.trace.db(), policy);
+      const auto channels =
+          oracle_channels(off.ifg, off.pdlc, run.trace.db(), policy);
+      util::AtomicBitset every_other(channels.size());
+      for (std::size_t c = 0; c < channels.size(); c += 2) every_other.set(c);
+      const util::AtomicBitset* const shadows[] = {nullptr, &every_other};
+      for (const util::AtomicBitset* shadow : shadows) {
+        SCOPED_TRACE(std::string(policy == core::LpPolicy::kEndpoints
+                                     ? "endpoints"
+                                     : "all-signals") +
+                     (shadow ? ", shadowed" : ", no shadow"));
+        const auto expect = oracle_probe(channels, dense_masks, shadow);
+        oracle_hits += expect.size();
+        EXPECT_EQ(map.probe(run.trace, windows, shadow), expect);
+        // Window by window, so a hit credited to the wrong window shows.
+        for (std::size_t i = 0; i < windows.size(); ++i) {
+          EXPECT_EQ(map.probe(run.trace, {windows[i]}, shadow),
+                    oracle_probe(channels, {dense_masks[i]}, shadow))
+              << "window (" << windows[i].start_cycle << ", "
+              << windows[i].end_cycle << "]";
+        }
+      }
+    }
+  }
+  EXPECT_GT(oracle_hits, 0u) << "corpus never covers a channel";
+}
+
+TEST(TraceDifferential, LpProbeHandlesSyntheticChannels) {
+  const core::OfflineResult off = core::run_offline_phase(sim::CoreConfig{});
+  util::Rng rng(11);
+  const sim::RunResult run =
+      dual_run(fuzz::make_branch_mispredict_seed(rng).program);
+  const snapshot::SignalDb& db = run.trace.db();
+  const std::uint64_t last = run.trace.cycle_at(run.trace.size() - 1);
+  core::SpecWindow whole;
+  whole.end_cycle = last;
+  const auto dense = run.dense_trace->changed_mask(0, last);
+  // Two signals that change over the run and one that never does.
+  std::vector<snapshot::SignalId> moving;
+  snapshot::SignalId still = snapshot::kInvalidSignal;
+  for (snapshot::SignalId id = 0; id < db.size(); ++id) {
+    if (dense[id] && moving.size() < 2) moving.push_back(id);
+    if (!dense[id] && still == snapshot::kInvalidSignal) still = id;
+  }
+  ASSERT_EQ(moving.size(), 2u);
+  ASSERT_NE(still, snapshot::kInvalidSignal);
+
+  // Appended after the real channels: two whose every node is absent
+  // from the SignalDb (never hit), one with a ghost middle node (dropped,
+  // so only the endpoints count) and one whose middle signal never
+  // changes (hit under kEndpoints only).
+  ift::Ifg ifg = off.ifg;
+  ift::PdlcList pdlc = off.pdlc;
+  auto node = [&ifg, &db](snapshot::SignalId id) {
+    const ift::NodeId n = ifg.find(db.info(id).name);
+    return n != ift::kInvalidNode ? n : ifg.add_node(db.info(id).name);
+  };
+  const ift::NodeId src = node(moving[0]);
+  const ift::NodeId dst = node(moving[1]);
+  const ift::NodeId mid = node(still);
+  const ift::NodeId ghost_src = ifg.add_node("ghost.src", 8, true);
+  const ift::NodeId ghost_mid = ifg.add_node("ghost.mid");
+  const ift::NodeId ghost_dst = ifg.add_node("ghost.dst");
+  const std::size_t real = pdlc.size();
+  pdlc.add({ghost_src, ghost_dst, {ghost_src, ghost_mid, ghost_dst}});
+  pdlc.add({ghost_src, ghost_dst, {ghost_src, ghost_dst}});
+  pdlc.add({src, dst, {src, ghost_mid, dst}});
+  pdlc.add({src, dst, {src, mid, dst}});
+
+  for (const auto policy :
+       {core::LpPolicy::kAllSignals, core::LpPolicy::kEndpoints}) {
+    const bool endpoints = policy == core::LpPolicy::kEndpoints;
+    SCOPED_TRACE(endpoints ? "endpoints" : "all-signals");
+    const core::LpCoverageMap map(ifg, pdlc, db, policy);
+    const auto channels = oracle_channels(ifg, pdlc, db, policy);
+    ASSERT_TRUE(channels[real].empty());
+    ASSERT_TRUE(channels[real + 1].empty());
+    const auto hits = map.probe(run.trace, {whole});
+    EXPECT_EQ(hits, oracle_probe(channels, {dense}, nullptr));
+    auto hit = [&hits](std::size_t c) {
+      return std::find(hits.begin(), hits.end(), c) != hits.end();
+    };
+    EXPECT_FALSE(hit(real));
+    EXPECT_FALSE(hit(real + 1));
+    EXPECT_TRUE(hit(real + 2));
+    EXPECT_EQ(hit(real + 3), endpoints);
   }
 }
 
