@@ -120,33 +120,6 @@ void BM_DecodeThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeThroughput);
 
-void BM_FastAluDispatch(benchmark::State& state) {
-  // The fast tier's function-pointer ALU kernels vs the reference
-  // switch evaluator, over a decoded random instruction stream.
-  util::Rng rng(7);
-  std::vector<riscv::DecodedInst> insts;
-  while (insts.size() < 4096) {
-    const auto d = riscv::decode(
-        riscv::random_instruction(rng, insts.size(), 4096));
-    if (d.valid() && sim::fast_tier_supported(d.op) &&
-        !riscv::is_load(d.op) && !riscv::is_store(d.op)) {
-      insts.push_back(d);
-    }
-  }
-  const sim::FastAluFn* table = sim::fast_alu_table();
-  const bool tabled = state.range(0) != 0;
-  std::size_t i = 0;
-  std::uint64_t acc = 0x9e3779b97f4a7c15ull;
-  for (auto _ : state) {
-    const auto& d = insts[i++ & 4095];
-    acc = tabled ? table[static_cast<std::size_t>(d.op)](d, acc, acc >> 7)
-                 : sim::fast_alu_reference(d, acc, acc >> 7);
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetLabel(tabled ? "table" : "switch");
-}
-BENCHMARK(BM_FastAluDispatch)->Arg(1)->Arg(0);
-
 void BM_CaptureCycle(benchmark::State& state) {
   // The per-cycle trace-capture kernel, isolated: a dense sweep records
   // all ~314 signals per cycle (arg0 = 0, the pre-dirty-set cost model),

@@ -9,8 +9,8 @@
 //   overhead(on+trace)  <= 3%
 //
 // Rounds interleave the three modes and each mode reports its best
-// round (the bench_tiered pattern), so transient machine load cannot
-// masquerade as instrumentation cost. Every mode's CampaignResult is
+// round, so transient machine load cannot masquerade as
+// instrumentation cost. Every mode's CampaignResult is
 // verified identical to the baseline's — the bit-identity half of the
 // contract — and a divergence fails the bench hard.
 #include <chrono>

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "core/mst.hpp"
-#include "core/specure.hpp"
 #include "core/offline.hpp"
 #include "riscv/program.hpp"
 

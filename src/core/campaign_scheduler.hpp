@@ -5,7 +5,8 @@
 // (iteration, program, derived_rng_seed) jobs from it. All programs of a
 // batch are generated from the corpus state at the start of the batch;
 // corpus feedback routed back through feedback() between batches is what
-// gives the engine its batch-synchronous semantics (see specure.hpp).
+// gives the engine its batch-synchronous semantics (see the determinism
+// contract in core/session.hpp).
 #pragma once
 
 #include <cstdint>

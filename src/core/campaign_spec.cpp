@@ -75,6 +75,10 @@ struct KeyDef {
   bool quoted;  ///< string-typed in TOML / JSON
   std::string (*get)(const CampaignSpec&);
   void (*set)(CampaignSpec&, const std::string&);
+  /// Non-null for a deprecated key: still parsed strictly (old spec and
+  /// state files load), but never rendered, listed or compared; set()
+  /// records this note in CampaignSpec::deprecation_notes.
+  const char* deprecated = nullptr;
 };
 
 #define SPEC_U64(KEY, SECTION, FIELD)                                       \
@@ -141,7 +145,7 @@ const std::vector<KeyDef>& key_table() {
       SPEC_BOOL("zenbleed", "core", core.vuln.zenbleed_emulation),
       // Debug/differential switch: record the dense reference trace next
       // to the delta trace. Workers drop to the cold detailed path
-      // (checkpoint + fast tier bypassed), so campaign results must be
+      // (checkpoint cache bypassed), so campaign results must be
       // identical with it on or off — CI's capture-differential smoke
       // diffs the two reports. Deliberately NOT result-neutral for
       // serve's dedup key: a dense run is a different execution plan.
@@ -215,10 +219,7 @@ const std::vector<KeyDef>& key_table() {
                                  "' is not an executor (window | barrier)");
                }
              }},
-      KeyDef{"tier", "campaign", true,
-             [](const CampaignSpec& s) {
-               return std::string(tier_mode_name(s.tier));
-             },
+      KeyDef{"tier", "campaign", true, nullptr,
              [](CampaignSpec& s, const std::string& v) {
                if (v == "detailed") {
                  s.tier = TierMode::kDetailed;
@@ -228,7 +229,9 @@ const std::vector<KeyDef>& key_table() {
                  throw SpecError("tier: '" + v +
                                  "' is not a tier (detailed | fast)");
                }
-             }},
+             },
+             "spec key 'tier' is deprecated and ignored: the fast-functional "
+             "tier was removed, every job runs on the detailed core"},
       SPEC_BOOL("checkpoint", "campaign", checkpoint),
       SPEC_SIZE("checkpoint_cache_mb", "campaign", checkpoint_cache_mb),
       SPEC_SIZE("mst_rows", "campaign", mst_sample_rows),
@@ -360,10 +363,6 @@ std::string_view pipeline_mode_name(PipelineMode mode) {
   return mode == PipelineMode::kWindow ? "window" : "barrier";
 }
 
-std::string_view tier_mode_name(TierMode mode) {
-  return mode == TierMode::kFast ? "fast" : "detailed";
-}
-
 std::string_view triage_mode_name(TriageMode mode) {
   switch (mode) {
     case TriageMode::kOff: return "off";
@@ -404,6 +403,11 @@ void CampaignSpec::set(const std::string& key, const std::string& value) {
   const KeyDef* def = find_key(key);
   if (def == nullptr) throw_unknown_key(key);
   def->set(*this, value);
+  if (def->deprecated != nullptr &&
+      std::find(deprecation_notes.begin(), deprecation_notes.end(),
+                def->deprecated) == deprecation_notes.end()) {
+    deprecation_notes.emplace_back(def->deprecated);
+  }
 }
 
 void CampaignSpec::apply_override(const std::string& assignment) {
@@ -418,13 +422,16 @@ void CampaignSpec::apply_override(const std::string& assignment) {
 
 std::vector<std::string> CampaignSpec::keys() {
   std::vector<std::string> out;
-  for (const KeyDef& def : key_table()) out.emplace_back(def.key);
+  for (const KeyDef& def : key_table()) {
+    if (def.deprecated == nullptr) out.emplace_back(def.key);
+  }
   return out;
 }
 
 std::vector<SpecField> CampaignSpec::fields() const {
   std::vector<SpecField> out;
   for (const KeyDef& def : key_table()) {
+    if (def.deprecated != nullptr) continue;
     out.push_back({def.key, def.section, def.get(*this), def.quoted});
   }
   return out;

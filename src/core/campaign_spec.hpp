@@ -81,15 +81,10 @@ enum class PipelineMode : std::uint8_t { kWindow, kBarrier };
 
 std::string_view pipeline_mode_name(PipelineMode mode);
 
-/// Execution tier policy. kFast runs each cold job's straight-line
-/// prefix (up to the first instruction that can arm speculation for the
-/// active detector) through the fast-functional tier and hands off to
-/// the detailed core at the boundary; kDetailed runs everything on the
-/// detailed core. Bit-identical CampaignResults either way (pinned by
-/// the tiered differential suite) — only wall-clock behaviour differs.
+/// DEPRECATED, ignored: the execution tier of the removed
+/// fast-functional prefix tier. Every job runs on the detailed core; the
+/// value is only parsed from the deprecated `tier` key.
 enum class TierMode : std::uint8_t { kDetailed, kFast };
-
-std::string_view tier_mode_name(TierMode mode);
 
 struct SpecField {
   std::string key;      ///< flat override key, e.g. "rob_entries"
@@ -113,7 +108,7 @@ struct CampaignSpec {
   std::size_t jobs = 0;
   /// The sliding-window width W: job k is generated from the merged
   /// campaign state through iteration k - W, so at most W jobs are ever
-  /// in flight (see core/specure.hpp). Raising W trades corpus-feedback
+  /// in flight (see core/session.hpp). Raising W trades corpus-feedback
   /// latency for parallelism; 1 reproduces the classic serial
   /// generate -> simulate -> feed-back loop exactly.
   std::size_t batch_size = 32;
@@ -122,10 +117,9 @@ struct CampaignSpec {
   /// results — both implement the same generation contract — only
   /// wall-clock scaling.
   PipelineMode pipeline = PipelineMode::kWindow;
-  /// Execution tier: fast (fast-functional prefix tier + detailed
-  /// continuation, default) | detailed (everything on the detailed
-  /// core). Never affects campaign results. Automatically degraded to
-  /// detailed when record_dense_trace is set.
+  /// DEPRECATED, ignored: set by the `tier = fast | detailed` key that
+  /// old spec and state files carry. Not a spec field: never saved,
+  /// echoed or compared.
   TierMode tier = TierMode::kFast;
   /// Checkpointed incremental simulation: workers cache per-corpus-parent
   /// checkpoint sets and resume mutants from the deepest checkpoint
@@ -173,13 +167,17 @@ struct CampaignSpec {
   bool metrics = true;
   /// When non-empty: write a Chrome trace-event JSON of the most recent
   /// run()'s pipeline spans (generate / queue-wait / execute with
-  /// fast-tier, detailed and checkpoint-resume sub-spans / result-wait /
-  /// merge / vcd-drain) to this path — loadable in Perfetto or
-  /// chrome://tracing. Ring-buffered: long campaigns keep the most
-  /// recent window of events at bounded memory. Empty = off.
+  /// checkpoint-resume sub-spans / result-wait / merge / vcd-drain) to
+  /// this path — loadable in Perfetto or chrome://tracing. Ring-buffered:
+  /// long campaigns keep the most recent window of events at bounded
+  /// memory. Empty = off.
   /// Wall-clock-only: never affects the CampaignResult.
   std::string trace_out;
   CampaignBudget budget;
+  /// One line per deprecated key this spec was given (by set(), a spec
+  /// file or a state file), for front ends to show; such keys are
+  /// accepted as no-ops. Not a spec field: never saved or compared.
+  std::vector<std::string> deprecation_notes;
 
   // ---- named scenario presets -------------------------------------------
   /// Registry of the paper's evaluation scenarios ("default", "lp",

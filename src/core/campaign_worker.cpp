@@ -1,9 +1,7 @@
 #include "core/campaign_worker.hpp"
 
-#include <algorithm>
 #include <chrono>
 
-#include "fuzz/mutator.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace specure::core {
@@ -72,12 +70,11 @@ CampaignWorker::CampaignWorker(const sim::CoreConfig& core,
                                LpPolicy lp_policy,
                                const DetectorOptions& detector,
                                const WorkerCheckpointOptions& checkpoint,
-                               const WorkerTierOptions& tier)
+                               const WorkerTierOptions& /*deprecated_tier*/)
     : sim_(core),
       lp_probe_(offline.ifg, offline.pdlc, sim_.signal_db(), lp_policy),
       detector_(offline.ifg, offline.pdlc, sim_.signal_db(), detector),
       checkpoint_(checkpoint),
-      tier_(tier),
       cache_(checkpoint.cache_bytes),
       scratch_(&sim_.signal_db()) {}
 
@@ -97,42 +94,15 @@ const sim::RunResult& CampaignWorker::simulate(const fuzz::FuzzJob& job) {
   pending_points_.clear();
   last_resumed_ = false;
   last_resume_cycle_ = 0;
-  last_handoff_ = 0;
   const bool fast_path =
       checkpoint_.enabled && !sim_.config().record_dense_trace;
-  const bool tiered = tier_.fast && !sim_.config().record_dense_trace;
-
-  // The handoff point: first instruction that can arm speculation under
-  // the active detector policy, capped at the mutant's first divergence
-  // from its parent (past that index the decode scan describes the
-  // parent's prefix, not necessarily the mutant's — the cap keeps the
-  // fast tier inside the provably shared straight-line region).
-  std::size_t handoff = 0;
-  const riscv::DecodedProgram* dec = nullptr;  // one decode per job
-  if (tiered) {
-    dec = &sim_.decode(job.program);
-    handoff = fuzz::handoff_index(*dec, tier_.loads_arm);
-    if (job.has_parent) handoff = std::min(handoff, job.divergence);
-    // Shallow prefixes cost more to hand off than to just re-run in the
-    // detailed core: clamp to 0, which run_tiered treats as a pure
-    // detailed run (a TierStats fallback) while still reusing `dec`.
-    // Whole-run fast completions are exempt — they never pay a handoff.
-    if (handoff < tier_.min_handoff_insts && handoff < dec->insts.size()) {
-      handoff = 0;
-    }
-  }
 
   if (fast_path && job.has_parent && job.divergence > 0) {
     CheckpointCache::Entry* entry = cache_.find(job.parent_hash, job.parent);
     if (entry != nullptr) {
       const sim::Checkpoint* cp =
           entry->best_for(job.divergence, checkpoint_.min_resume_cycles);
-      // A tiered worker only resumes from checkpoints at/past the
-      // handoff: re-running the prefix in the fast tier dominates a
-      // shallower state restore + trace fork.
-      if (cp != nullptr &&
-          (!tiered || cp->fetch_watermark >= static_cast<std::uint64_t>(
-                                                 handoff))) {
+      if (cp != nullptr) {
         ++stats_.resumed;
         stats_.resumed_cycles += cp->cycle;
         last_resumed_ = true;
@@ -158,30 +128,7 @@ const sim::RunResult& CampaignWorker::simulate(const fuzz::FuzzJob& job) {
   }
   ++stats_.cold;
   cache_misses_.add(lane_);
-  last_handoff_ = handoff;
-  if (tiered) {
-    // `dec` (the handoff scan's decode) is still valid: no run happened
-    // in between, so the simulator skips a second decode.
-    sim::TierPhaseTimes phases;
-    sim::TierPhaseTimes* p = tracer_ != nullptr ? &phases : nullptr;
-    if (fast_path) {
-      sim_.run_tiered(job.program, handoff, checkpoint_.cadence,
-                      pending_points_, scratch_, &tier_stats_, dec, p);
-    } else {
-      sim_.run_tiered(job.program, handoff, scratch_, &tier_stats_, dec, p);
-    }
-    if (tracer_ != nullptr && phases.entered_fast) {
-      last_handoff_ = phases.handoff_index;
-      tracer_->record(
-          lane_, "fast_tier", "sim", phases.fast_begin, phases.fast_end,
-          job.iteration,
-          {"handoff", static_cast<std::int64_t>(phases.handoff_index)});
-      if (phases.continued_detailed) {
-        tracer_->record(lane_, "detailed", "sim", phases.fast_end,
-                        phases.detailed_end, job.iteration);
-      }
-    }
-  } else if (fast_path) {
+  if (fast_path) {
     // Emit checkpoints as a side effect (~1% of the run): if this
     // program later becomes a corpus parent, its resume points are
     // already on this worker (parent-affinity routes its children here).
@@ -237,7 +184,6 @@ void CampaignWorker::process(const fuzz::FuzzJob& job,
     tracer_->record(
         lane_, "execute", "pipeline", e0, std::chrono::steady_clock::now(),
         job.iteration, {"cache_hit", last_resumed_ ? 1 : 0},
-        {"handoff", static_cast<std::int64_t>(last_handoff_)},
         {"resume_cycle", static_cast<std::int64_t>(last_resume_cycle_)});
   }
 }

@@ -48,9 +48,9 @@ namespace specure::core {
 /// Observability wiring the session hands each worker before a run():
 /// registry counters (checkpoint-cache hit/miss on the worker's lane)
 /// and, when tracing, the span recorder the worker emits execute /
-/// fast_tier / detailed / checkpoint_resume spans into. All-default
-/// (null) wiring makes every instrumentation site a no-op; nothing here
-/// ever affects simulation results.
+/// checkpoint_resume spans into. All-default (null) wiring makes every
+/// instrumentation site a no-op; nothing here ever affects simulation
+/// results.
 struct WorkerObservability {
   obs::Registry* registry = nullptr;
   obs::TraceRecorder* tracer = nullptr;
@@ -81,24 +81,12 @@ struct WorkerCheckpointOptions {
   std::uint64_t min_resume_cycles = 48;
 };
 
-/// Worker-side tier policy (derived from the spec's `tier` key and the
-/// active detector preset).
+/// DEPRECATED, ignored: the tier policy of the removed fast-functional
+/// prefix tier. Kept only so existing callers still compile; every job
+/// runs on the detailed core whatever these fields say.
 struct WorkerTierOptions {
-  /// Run cold jobs through the fast-functional prefix tier
-  /// (Simulator::run_tiered) instead of the detailed-only path. Results
-  /// are bit-identical either way; this is purely a throughput policy.
-  bool fast = true;
-  /// The detector monitors the data cache (cache-monitor / full
-  /// presets), so loads can arm its observation window: hand off at the
-  /// first load too, not just at control flow.
-  bool loads_arm = false;
-  /// A prefix shorter than this many instructions is not worth the
-  /// fast-tier entry + boundary materialization into the detailed core;
-  /// take the plain detailed path instead (the tier analogue of
-  /// WorkerCheckpointOptions::min_resume_cycles). Runs that complete
-  /// entirely inside the fast tier are exempt — they never pay the
-  /// handoff, so they win at any length.
-  std::size_t min_handoff_insts = 24;
+  bool fast = true;        ///< deprecated, ignored
+  bool loads_arm = false;  ///< deprecated, ignored
 };
 
 /// Wall-clock telemetry of the fast path (never affects results).
@@ -163,7 +151,7 @@ class CampaignWorker {
   CampaignWorker(const sim::CoreConfig& core, const OfflineResult& offline,
                  LpPolicy lp_policy, const DetectorOptions& detector,
                  const WorkerCheckpointOptions& checkpoint = {},
-                 const WorkerTierOptions& tier = {});
+                 const WorkerTierOptions& deprecated_tier = {});
 
   /// Simulate and analyze one job, writing into `out` (cleared first;
   /// its windows/lp_hits/coverage buffers are reused, so recycling one
@@ -196,9 +184,6 @@ class CampaignWorker {
   const sim::Simulator& simulator() const { return sim_; }
   const CheckpointStats& checkpoint_stats() const { return stats_; }
   const CheckpointCache& checkpoint_cache() const { return cache_; }
-  /// Cumulative across the worker's lifetime (the session snapshots a
-  /// baseline per run() to report per-run deltas).
-  const sim::TierStats& tier_stats() const { return tier_stats_; }
 
  private:
   /// Run the job into the scratch RunResult, via checkpoint resume when
@@ -209,10 +194,8 @@ class CampaignWorker {
   LpCoverageMap lp_probe_;  ///< used const-only (probe), never committed
   VulnerabilityDetector detector_;
   WorkerCheckpointOptions checkpoint_;
-  WorkerTierOptions tier_;
   CheckpointCache cache_;
   CheckpointStats stats_;
-  sim::TierStats tier_stats_;
   sim::RunResult scratch_;  ///< reused across iterations (buffer reuse)
   /// Checkpoints emitted by the most recent cold run, pending donation
   /// to the cache once process() is done with the trace.
@@ -227,7 +210,6 @@ class CampaignWorker {
   /// How simulate() served the most recent job (execute-span tags).
   bool last_resumed_ = false;
   std::uint64_t last_resume_cycle_ = 0;
-  std::size_t last_handoff_ = 0;
 };
 
 }  // namespace specure::core

@@ -82,9 +82,6 @@ PipelineStats pipeline_stats_view(const obs::Snapshot& base,
             delta_shard(end, base, "worker/queue_wait_ns", w)) /
         1e9;
     ws.jobs = delta_shard(end, base, "worker/jobs", w);
-    ws.fast_cycles = delta_shard(end, base, "tier/fast_cycles", w);
-    ws.handoffs = delta_shard(end, base, "tier/handoffs", w);
-    ws.tier_fallbacks = delta_shard(end, base, "tier/fallbacks", w);
   }
   return out;
 }
@@ -164,10 +161,6 @@ Session::StopCondition Session::stop_on_finding(std::string key_substring) {
   };
 }
 
-void Session::set_iteration_budget(std::uint64_t iterations) {
-  spec_.budget.iterations = iterations;
-}
-
 std::size_t Session::resolved_jobs() const {
   std::size_t jobs = spec_.jobs;
   if (jobs == 0) jobs = std::thread::hardware_concurrency();
@@ -240,27 +233,16 @@ CampaignResult Session::run() {
     checkpoint.cache_bytes =
         std::max<std::size_t>((spec_.checkpoint_cache_mb << 20) / jobs,
                               std::size_t{1} << 20);
-    WorkerTierOptions tier;
-    tier.fast = spec_.tier == TierMode::kFast;
-    // Cache-monitoring detectors observe loads, so the fast prefix must
-    // stop at the first load as well (fuzz::handoff_index policy).
-    tier.loads_arm = spec_.detector.monitor_cache;
     workers_.reserve(jobs);
     for (std::size_t w = workers_.size(); w < jobs; ++w) {
       workers_.push_back(std::make_unique<CampaignWorker>(
           spec_.core, offline_, spec_.lp_policy, spec_.detector,
-          checkpoint, tier));
+          checkpoint));
     }
   }
 
   pipeline_stats_ = PipelineStats{};
   pipeline_stats_.workers.resize(jobs);
-  // Worker tier stats are cumulative across run() calls; snapshot a
-  // baseline so this run reports its own deltas.
-  std::vector<sim::TierStats> tier_baseline(jobs);
-  for (std::size_t w = 0; w < jobs; ++w) {
-    tier_baseline[w] = workers_[w]->tier_stats();
-  }
   const auto now = [] { return std::chrono::steady_clock::now(); };
   const auto secs = [](std::chrono::steady_clock::duration d) {
     return std::chrono::duration<double>(d).count();
@@ -286,7 +268,6 @@ CampaignResult Session::run() {
   struct {
     obs::Counter generate, merge, result_wait, vcd;     // merge strand
     obs::Counter execute, queue_wait, jobs_done;        // per worker
-    obs::Counter fast_cycles, handoffs, fallbacks;      // tier mirror
     obs::Counter iterations, findings;
     obs::Gauge covered_pdlc, coverage_points;
     obs::Histogram h_generate, h_queue, h_execute, h_result, h_merge,
@@ -299,9 +280,6 @@ CampaignResult Session::run() {
   o.execute = reg.counter("worker/execute_ns");
   o.queue_wait = reg.counter("worker/queue_wait_ns");
   o.jobs_done = reg.counter("worker/jobs");
-  o.fast_cycles = reg.counter("tier/fast_cycles");
-  o.handoffs = reg.counter("tier/handoffs");
-  o.fallbacks = reg.counter("tier/fallbacks");
   o.iterations = reg.counter("campaign/iterations");
   o.findings = reg.counter("campaign/findings");
   o.covered_pdlc = reg.gauge("campaign/covered_pdlc");
@@ -878,17 +856,9 @@ CampaignResult Session::run() {
     run_window();
   }
 
-  // Mirror this run's tier deltas into the registry (the simulator
-  // accumulates TierStats internally; the registry is the export
-  // surface), then materialize PipelineStats as the registry delta over
-  // this run's baseline. Workers have quiesced by here (threads joined,
-  // parallel_for returned), so plain reads are race-free.
-  for (std::size_t w = 0; w < jobs; ++w) {
-    const sim::TierStats& ts = workers_[w]->tier_stats();
-    o.fast_cycles.add(w, ts.fast_cycles - tier_baseline[w].fast_cycles);
-    o.handoffs.add(w, ts.handoffs - tier_baseline[w].handoffs);
-    o.fallbacks.add(w, ts.fallbacks - tier_baseline[w].fallbacks);
-  }
+  // Materialize PipelineStats as the registry delta over this run's
+  // baseline. Workers have quiesced by here (threads joined, parallel_for
+  // returned), so plain reads are race-free.
   pipeline_stats_ = pipeline_stats_view(obs_base, reg.snapshot(), jobs);
 
   const auto flush_trace = [&] {

@@ -19,11 +19,39 @@
 // triggered them was merged — so the campaign state they see is exactly
 // the deterministic, thread-count-independent state of the batch
 // pipeline. Observers and deterministic stop conditions never perturb the
-// campaign result (the batch-determinism contract of core/specure.hpp
-// holds through this API; only max_seconds is inherently wall-clock).
+// campaign result (the determinism contract below holds through this
+// API; only max_seconds is inherently wall-clock).
 //
 // run() may be called repeatedly; each call is a fresh campaign from the
 // same spec (simulators and the thread pool are built once and reused).
+//
+// Parallel campaign architecture
+// ------------------------------
+// Each fuzzing iteration simulates one program on a cold core, which makes
+// the Online Phase embarrassingly parallel. A campaign is a three-layer
+// pipeline:
+//
+//   CampaignScheduler --> N x CampaignWorker --> ResultMerger
+//
+// The scheduler streams (iteration, program, derived_rng_seed) jobs from
+// the fuzzer into a sliding window of at most batch_size in-flight
+// iterations; the jobs are simulated and analyzed concurrently by `jobs`
+// workers, each owning a private sim::Simulator; the merger consumes
+// completions strictly in iteration order, applying LP-coverage commits,
+// code-coverage merges, vulnerability deduplication, MST sampling and
+// corpus feedback — and refills the window after every merge, so no
+// worker ever waits on a batch barrier.
+//
+// Determinism contract (sliding-window feedback): job k is generated
+// from the merged campaign state through iteration k - batch_size (the
+// window width), so corpus updates earned at iteration j take effect at
+// iteration j + batch_size. That generation schedule is a pure function
+// of (rng_seed, batch_size) — independent of `jobs`, of worker timing,
+// and of which executor runs the window (the pipelined default or the
+// `pipeline = barrier` reference) — so a campaign with a fixed rng_seed
+// and batch_size produces a bit-identical CampaignResult regardless of
+// thread count; only wall-clock time changes. batch_size == 1 degenerates
+// to the classic serial generate → simulate → feed-back loop.
 #pragma once
 
 #include <atomic>
@@ -131,12 +159,9 @@ struct alignas(64) PipelineWorkerStats {
   double execute_seconds = 0;     ///< time inside CampaignWorker::process
   double queue_wait_seconds = 0;  ///< time parked waiting for a job
   std::uint64_t jobs = 0;         ///< jobs this worker simulated
-  // Tier telemetry for this run (deltas of the worker's cumulative
-  // sim::TierStats): fast-tier cycles executed, handoffs to the detailed
-  // core, and handoff-at-0 fallbacks to a pure detailed run.
-  std::uint64_t fast_cycles = 0;
+  /// DEPRECATED, always 0: handoffs of the removed fast-functional
+  /// prefix tier. Kept only so existing readers still compile.
   std::uint64_t handoffs = 0;
-  std::uint64_t tier_fallbacks = 0;
 };
 
 /// Per-stage timing of the most recent run() — the diagnosis surface for
@@ -188,11 +213,6 @@ class Session {
   static StopCondition stop_after_vulns(std::size_t n);
   /// Stop once any finding key contains `key_substring`.
   static StopCondition stop_on_finding(std::string key_substring);
-
-  /// Override the spec's iteration budget for subsequent run() calls
-  /// (used by the deprecated SpecureEngine shim; prefer setting
-  /// spec.budget.iterations before constructing the Session).
-  void set_iteration_budget(std::uint64_t iterations);
 
   /// Run one full campaign under the spec's budgets and the registered
   /// stop conditions.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "riscv/decode.hpp"
-#include "sim/fast_tier.hpp"
 
 namespace specure::fuzz {
 
@@ -149,10 +148,6 @@ std::size_t first_divergence(const Program& parent, const Program& child) {
                      std::min(parent.code.size(), child.code.size()));
   }
   return first;
-}
-
-std::size_t handoff_index(const riscv::DecodedProgram& dec, bool loads_arm) {
-  return sim::fast_handoff_scan(dec.insts, loads_arm);
 }
 
 Program splice(const Program& a, const Program& b, util::Rng& rng) {

@@ -10,10 +10,6 @@
 #include "riscv/program.hpp"
 #include "util/rng.hpp"
 
-namespace specure::riscv {
-struct DecodedProgram;
-}
-
 namespace specure::fuzz {
 
 enum class MutationOp : std::uint8_t {
@@ -67,17 +63,5 @@ inline constexpr std::size_t kNoDivergence = static_cast<std::size_t>(-1);
 /// Zero-padding beyond each image matches Memory::fetch semantics.
 std::size_t first_divergence(const riscv::Program& parent,
                              const riscv::Program& child);
-
-/// Index of the first instruction that can arm speculation for the
-/// active scenario — where the tiered simulator must hand the program
-/// from the fast-functional prefix tier to the detailed core. Branches,
-/// jumps and serializing ops always arm; loads additionally arm when
-/// `loads_arm` (the preset's detector monitors the data cache). Returns
-/// `dec.insts.size()` when the whole program is prefix-executable. The
-/// campaign worker takes the minimum of this and the job's
-/// first_divergence index (both are code-word indices), so a mutant
-/// never fast-forwards past the point where it stops matching its
-/// parent's prefix.
-std::size_t handoff_index(const riscv::DecodedProgram& dec, bool loads_arm);
 
 }  // namespace specure::fuzz

@@ -26,9 +26,9 @@ struct DecodedInst {
 /// Decode one instruction word.
 DecodedInst decode(std::uint32_t word);
 
-/// A whole program decoded once, indexable by code-word index. One buffer
-/// is shared per worker between the detailed simulator, the fast tier and
-/// the ISS so a program is decoded at most once per run (build() keeps the
+/// A whole program decoded once, indexable by code-word index. The
+/// simulator and the ISS each keep one as a reusable per-run buffer, so a
+/// program is decoded once per run, not once per fetch (build() keeps the
 /// vector's capacity across programs).
 struct DecodedProgram {
   std::vector<DecodedInst> insts;

@@ -424,6 +424,7 @@ CampaignState load_state_file(const std::string& path) {
 const std::vector<std::string>& result_neutral_keys() {
   // Every key here is documented (and tested) to never change a
   // CampaignResult — only wall-clock behaviour and side-output paths.
+  // `tier` is a deprecated no-op that old state files still carry.
   static const std::vector<std::string> keys = {
       "jobs",          "pipeline",        "tier",
       "checkpoint",    "checkpoint_cache_mb", "progress_interval",

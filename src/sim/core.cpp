@@ -32,12 +32,6 @@ Simulator::Simulator(CoreConfig cfg) : cfg_(cfg) {
   }
 }
 
-const riscv::DecodedProgram& Simulator::decode(
-    const riscv::Program& program) const {
-  decode_scratch_.build(program.code);
-  return decode_scratch_;
-}
-
 RunResult Simulator::run(const riscv::Program& program) const {
   RunResult res(&db_);
   run(program, res);
@@ -61,56 +55,6 @@ void Simulator::run(const riscv::Program& program,
   checkpoints.clear();
   Core core(cfg_, descs_, layout_, db_, decode_scratch_);
   core.run(program, out, &options, &checkpoints);
-}
-
-void Simulator::run_tiered(const riscv::Program& program,
-                           std::size_t handoff_index, RunResult& out,
-                           TierStats* stats,
-                           const riscv::DecodedProgram* predecoded,
-                           TierPhaseTimes* phases) const {
-  if (cfg_.record_dense_trace) {
-    // The dense reference recorder needs the full per-cycle sweep; take
-    // the detailed path (this is the debug-only differential config).
-    if (stats != nullptr) ++stats->fallbacks;
-    Core core(cfg_, descs_, layout_, db_, decode_scratch_);
-    core.run(program, out, nullptr, nullptr, predecoded);
-    return;
-  }
-  Core core(cfg_, descs_, layout_, db_, decode_scratch_);
-  core.run_tiered(program, handoff_index, out, nullptr, nullptr, stats,
-                  predecoded, phases);
-}
-
-void Simulator::run_tiered(const riscv::Program& program,
-                           std::size_t handoff_index,
-                           const CheckpointOptions& options,
-                           std::vector<Checkpoint>& checkpoints,
-                           RunResult& out, TierStats* stats,
-                           const riscv::DecodedProgram* predecoded,
-                           TierPhaseTimes* phases) const {
-  if (cfg_.record_dense_trace) {
-    throw std::runtime_error(
-        "checkpointed runs do not support record_dense_trace (the dense "
-        "reference recorder has no resume prefix); use the cold path");
-  }
-  checkpoints.clear();
-  Core core(cfg_, descs_, layout_, db_, decode_scratch_);
-  core.run_tiered(program, handoff_index, out, &options, &checkpoints, stats,
-                  predecoded, phases);
-}
-
-FastPrefixOutcome Simulator::run_fast_prefix(const riscv::Program& program,
-                                             std::size_t handoff_index,
-                                             RunResult& out,
-                                             Checkpoint& boundary,
-                                             TierStats* stats) const {
-  if (cfg_.record_dense_trace) {
-    throw std::runtime_error(
-        "run_fast_prefix does not support record_dense_trace; use the "
-        "cold path");
-  }
-  Core core(cfg_, descs_, layout_, db_, decode_scratch_);
-  return core.run_fast_prefix(program, handoff_index, out, boundary, stats);
 }
 
 void Simulator::run_from(const Checkpoint& checkpoint,

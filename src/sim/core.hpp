@@ -35,7 +35,6 @@
 #include "sim/core_state.hpp"
 #include "sim/coverage.hpp"
 #include "sim/csr_file.hpp"
-#include "sim/fast_tier.hpp"
 #include "sim/memory.hpp"
 #include "sim/rename.hpp"
 #include "sim/structure.hpp"
@@ -143,51 +142,6 @@ class Simulator {
                 const snapshot::Trace& parent_trace,
                 const std::vector<CommitRecord>& parent_commits,
                 const riscv::Program& program, RunResult& out) const;
-
-  /// Decode `program` into this simulator's scratch buffer and return it
-  /// — pass the result back to run_tiered as `predecoded` so a program
-  /// is decoded once per worker iteration (handoff scan + simulation).
-  /// The reference is invalidated by the next decode()/run*() call.
-  const riscv::DecodedProgram& decode(const riscv::Program& program) const;
-
-  /// Tiered cold run: the fast-functional tier executes the prefix up to
-  /// `handoff_index` (the first instruction that can arm speculation —
-  /// see fuzz::handoff_index — defensively re-clamped here), then the
-  /// detailed pipeline continues on the same core state. Bit-identical
-  /// trace, commits, coverage and end state to run(). Index 0 degrades
-  /// to a pure detailed run; an index at or past the code length runs
-  /// entirely in the fast tier. `predecoded`, when given, must be this
-  /// simulator's decode() result for `program`. Falls back to the
-  /// detailed path (counted in stats->fallbacks) under
-  /// record_dense_trace, which the fast tier does not support.
-  /// `phases`, when given, receives the run's fast/detailed wall-clock
-  /// boundaries (observability span hook; nullptr costs nothing).
-  void run_tiered(const riscv::Program& program, std::size_t handoff_index,
-                  RunResult& out, TierStats* stats = nullptr,
-                  const riscv::DecodedProgram* predecoded = nullptr,
-                  TierPhaseTimes* phases = nullptr) const;
-
-  /// Tiered cold run that additionally emits resume checkpoints (all at
-  /// or past the handoff boundary: the fast tier substitutes for shallow
-  /// resumes, so no prefix checkpoints are saved). Throws under
-  /// record_dense_trace, like the checkpointed run().
-  void run_tiered(const riscv::Program& program, std::size_t handoff_index,
-                  const CheckpointOptions& options,
-                  std::vector<Checkpoint>& checkpoints, RunResult& out,
-                  TierStats* stats = nullptr,
-                  const riscv::DecodedProgram* predecoded = nullptr,
-                  TierPhaseTimes* phases = nullptr) const;
-
-  /// Fast prefix only (test / introspection surface): execute up to the
-  /// handoff boundary and materialize it into `boundary` — a Checkpoint
-  /// exactly like the detailed run's push_checkpoint would save, which
-  /// run_from(boundary, out.trace, out.commits, program, ...) resumes.
-  /// On kCompleted `out` is the full run; on kNone (handoff at index 0)
-  /// nothing was executed.
-  FastPrefixOutcome run_fast_prefix(const riscv::Program& program,
-                                    std::size_t handoff_index, RunResult& out,
-                                    Checkpoint& boundary,
-                                    TierStats* stats = nullptr) const;
 
   const snapshot::SignalDb& signal_db() const { return db_; }
   const CoreConfig& config() const { return cfg_; }

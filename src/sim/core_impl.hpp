@@ -1,7 +1,6 @@
-// The core's per-run execution engine, shared by core.cpp (detailed
-// pipeline, checkpointing) and fast_tier.cpp (fast-functional prefix
-// tier). Not part of the public API — include sim/core.hpp and drive a
-// Simulator instead.
+// The core's per-run execution engine behind Simulator (core.cpp): the
+// detailed pipeline, checkpoint emission and resume. Not part of the
+// public API — include sim/core.hpp and drive a Simulator instead.
 #pragma once
 
 #include <algorithm>
@@ -10,7 +9,6 @@
 
 #include "sim/core.hpp"
 #include "sim/dirty_set.hpp"
-#include "sim/fast_tier.hpp"
 #include "util/bits.hpp"
 
 namespace specure::sim::detail {
@@ -90,9 +88,8 @@ inline std::uint64_t extend_load(Op op, std::uint64_t raw) {
   }
 }
 
-/// One core executing one program (cold, resumed from a Checkpoint, or
-/// tiered: fast prefix + detailed remainder on the same state). Lives for
-/// the duration of a Simulator::run / run_from / run_tiered call.
+/// One core executing one program (cold, or resumed from a Checkpoint).
+/// Lives for the duration of a Simulator::run / run_from call.
 class Core {
  public:
   Core(const CoreConfig& cfg, const std::vector<SigDesc>& descs,
@@ -139,100 +136,16 @@ class Core {
 
   /// Cold run, optionally emitting resume checkpoints.
   void run(const riscv::Program& program, RunResult& res,
-           const CheckpointOptions* ck, std::vector<Checkpoint>* out,
-           const riscv::DecodedProgram* predecoded = nullptr) {
+           const CheckpointOptions* ck, std::vector<Checkpoint>* out) {
     res.reset();
     if (cfg_.record_dense_trace) {
       res.dense_trace = std::make_unique<snapshot::DenseTrace>(&db_);
     }
     mem_.load(program);
-    set_decode(program, predecoded);
+    decode_buf_.build(program.code);
     fetch_pc_ = riscv::kCodeBase;
     loop(res, ck, out);
     finish(res);
-  }
-
-  /// Tiered cold run: execute the prefix up to `handoff_index` in the
-  /// fast tier, then continue the detailed pipeline on the same state —
-  /// bit-identical to run(). Index 0 falls back to a pure detailed run;
-  /// an index at or past the code length means the whole run (including
-  /// the end-of-program trap) stays in the fast tier. The caller decides
-  /// the handoff policy (fuzz::handoff_index); the index is defensively
-  /// re-clamped here to the first op the fast tier cannot execute.
-  void run_tiered(const riscv::Program& program, std::size_t handoff_index,
-                  RunResult& res, const CheckpointOptions* ck,
-                  std::vector<Checkpoint>* out, TierStats* stats,
-                  const riscv::DecodedProgram* predecoded = nullptr,
-                  TierPhaseTimes* phases = nullptr) {
-    res.reset();
-    mem_.load(program);
-    set_decode(program, predecoded);
-    fetch_pc_ = riscv::kCodeBase;
-    const std::size_t idx =
-        std::min(handoff_index, fast_handoff_scan(*decoded_, false));
-    if (phases != nullptr) phases->handoff_index = idx;
-    if (idx == 0) {
-      if (stats != nullptr) ++stats->fallbacks;
-      loop(res, ck, out);
-      finish(res);
-      return;
-    }
-    if (stats != nullptr) ++stats->fast_runs;
-    if (phases != nullptr) {
-      phases->entered_fast = true;
-      phases->fast_begin = std::chrono::steady_clock::now();
-    }
-    const std::uint64_t fast_from = cycle_;
-    const FastExit exit = fast_loop(handoff_pc_of(idx), res);
-    if (stats != nullptr) stats->fast_cycles += cycle_ - fast_from;
-    if (phases != nullptr) phases->fast_end = std::chrono::steady_clock::now();
-    if (exit == FastExit::kHandoff) {
-      if (stats != nullptr) ++stats->handoffs;
-      // The detailed loop continues on this very core state — the
-      // handoff is zero-copy; no checkpoint materialization needed.
-      loop(res, ck, out);
-      if (phases != nullptr) {
-        phases->continued_detailed = true;
-        phases->detailed_end = std::chrono::steady_clock::now();
-      }
-    } else if (stats != nullptr) {
-      ++stats->fast_completions;
-    }
-    finish(res);
-  }
-
-  /// Fast prefix only: stop at the handoff boundary and materialize it as
-  /// a Checkpoint exactly like push_checkpoint would — the proof surface
-  /// that the boundary is a CoreState-compatible snapshot the detailed
-  /// run_from path can resume (tests drive run_from(boundary, ...)).
-  FastPrefixOutcome run_fast_prefix(const riscv::Program& program,
-                                    std::size_t handoff_index, RunResult& res,
-                                    Checkpoint& boundary, TierStats* stats) {
-    res.reset();
-    mem_.load(program);
-    set_decode(program, nullptr);
-    fetch_pc_ = riscv::kCodeBase;
-    const std::size_t idx =
-        std::min(handoff_index, fast_handoff_scan(*decoded_, false));
-    if (idx == 0) return FastPrefixOutcome::kNone;
-    if (stats != nullptr) ++stats->fast_runs;
-    const std::uint64_t fast_from = cycle_;
-    const FastExit exit = fast_loop(handoff_pc_of(idx), res);
-    if (stats != nullptr) stats->fast_cycles += cycle_ - fast_from;
-    if (exit == FastExit::kDone) {
-      if (stats != nullptr) ++stats->fast_completions;
-      finish(res);
-      return FastPrefixOutcome::kCompleted;
-    }
-    if (stats != nullptr) ++stats->handoffs;
-    save_state(boundary.state);
-    boundary.cycle = cycle_;
-    boundary.fetch_watermark = fetch_watermark_;
-    boundary.commit_count = res.commits.size();
-    boundary.instructions_committed = res.instructions_committed;
-    boundary.coverage = res.coverage;
-    res.cycles = cycle_;
-    return FastPrefixOutcome::kHandoff;
   }
 
   /// Resume `program` from a checkpoint of its parent. The caller
@@ -245,7 +158,7 @@ class Core {
     // only the code differs between parent and child below the fetch
     // watermark contract, so patching the code image suffices.
     mem_.set_code(program.code);
-    set_decode(program, nullptr);
+    decode_buf_.build(program.code);
     loop(res, nullptr, nullptr);
     finish(res);
   }
@@ -256,8 +169,7 @@ class Core {
     // Checkpoint cadence: geometric at first (the fetch watermark races
     // through the program in the earliest cycles, so late saves there
     // would skip the low-watermark states mutants actually resume from),
-    // then steady every `interval` cycles. A tiered run enters here at
-    // the handoff cycle, so the geometric ramp restarts at the boundary.
+    // then steady every `interval` cycles.
     std::uint64_t gap =
         ck != nullptr ? std::min<std::uint64_t>(8, ck->interval) : 0;
     std::uint64_t next_save = cycle_ + gap;
@@ -282,7 +194,7 @@ class Core {
     }
   }
 
-  /// Shared run epilogue (loop exit or fast-tier completion).
+  /// Shared run epilogue (cold and resumed runs).
   void finish(RunResult& res) {
     res.cycles = cycle_;
     res.halted_clean = halted_ || (rob_count_ == 0 && fetch_done());
@@ -318,39 +230,18 @@ class Core {
   }
 
   // --------------------------------------------------------- decode cache --
-  /// Point the fetch path at a per-program DecodedInst array: the
-  /// caller's predecoded program when provided (decoded once per worker),
-  /// else the simulator's scratch buffer, rebuilt for this program. The
-  /// fetch path then reads DecodedInsts by index instead of re-decoding
-  /// the same word every cycle (stalled issues re-enter issue() each
-  /// cycle).
-  void set_decode(const riscv::Program& program,
-                  const riscv::DecodedProgram* predecoded) {
-    if (predecoded != nullptr) {
-      decoded_ = &predecoded->insts;
-      return;
-    }
-    decode_buf_.build(program.code);
-    decoded_ = &decode_buf_.insts;
-  }
-
+  /// The fetch path reads the program's DecodedInsts (decode_buf_, built
+  /// once per run) by index instead of re-decoding the same word every
+  /// cycle (stalled issues re-enter issue() each cycle).
   const DecodedInst& decode_at(std::uint64_t pc, std::uint32_t word) {
     if (pc >= riscv::kCodeBase && (pc & 3) == 0) {
       const std::uint64_t index = (pc - riscv::kCodeBase) / 4;
-      if (index < decoded_->size()) return (*decoded_)[index];
+      if (index < decode_buf_.insts.size()) return decode_buf_.insts[index];
     }
     // Off-image or misaligned fetch: `word` is 0 there (Memory::fetch),
     // identical to the pre-cache decode(0) path.
     scratch_dec_ = riscv::decode(word);
     return scratch_dec_;
-  }
-
-  /// PC of the handoff instruction; 0 (never fetched) when the index is
-  /// at or past the code length, so the fast tier runs the end-of-program
-  /// trap itself instead of handing off at the fall-off PC.
-  std::uint64_t handoff_pc_of(std::size_t idx) const {
-    if (idx >= decoded_->size()) return 0;
-    return riscv::kCodeBase + 4 * static_cast<std::uint64_t>(idx);
   }
 
   // --------------------------------------------------------- checkpoints --
@@ -915,8 +806,7 @@ class Core {
   }
 
   // ----------------------------------------------------------- snapshot --
-  /// Per-cycle trace capture, shared by the detailed loop and the fast
-  /// tier. Delta-native recording: each recorded signal is compared
+  /// Per-cycle trace capture. Delta-native recording: each recorded signal is compared
   /// against the trace's live previous-value array and stored only as a
   /// (cycle, signal, value) change event; toggle coverage falls out of
   /// the same comparison.
@@ -1022,35 +912,6 @@ class Core {
     return static_cast<unsigned>(&e - rob_.data());
   }
 
-  // ----------------------------------------------------------- fast tier --
-  // Defined in fast_tier.cpp. The fast tier runs the same per-cycle stage
-  // order as loop() over the same state — including the shared dirty-set
-  // capture() — restricted to straight-line ALU/load/store/trap code in
-  // which no ROB entry can become unsafe, which is what lets it skip the
-  // squash/resolve logic and the execute-stage sort.
-  enum class FastExit { kHandoff, kDone };
-
-  /// Function-pointer dispatch: one issue handler per opcode.
-  using FastIssueFn = void (*)(Core&, RobEntry&, std::uint64_t, std::uint64_t,
-                               RunResult&);
-
-  FastExit fast_loop(std::uint64_t handoff_pc, RunResult& res);
-  void fast_retire(RunResult& res);
-  void fast_commit(RobEntry& e, RunResult& res);
-  void fast_execute();
-  void fast_issue(RunResult& res);
-  static void fast_issue_alu(Core& c, RobEntry& e, std::uint64_t a,
-                             std::uint64_t b);
-  static void fx_alu_rr(Core& c, RobEntry& e, std::uint64_t v1,
-                        std::uint64_t v2, RunResult& res);
-  static void fx_alu_ri(Core& c, RobEntry& e, std::uint64_t v1,
-                        std::uint64_t v2, RunResult& res);
-  static void fx_load(Core& c, RobEntry& e, std::uint64_t v1,
-                      std::uint64_t v2, RunResult& res);
-  static void fx_store(Core& c, RobEntry& e, std::uint64_t v1,
-                       std::uint64_t v2, RunResult& res);
-  static const FastIssueFn* fast_dispatch();
-
   const CoreConfig& cfg_;
   const std::vector<SigDesc>& descs_;
   const SignalLayout& layout_;
@@ -1080,7 +941,6 @@ class Core {
   std::uint64_t fetch_watermark_ = 0;
 
   riscv::DecodedProgram& decode_buf_;  ///< simulator-owned scratch buffer
-  const std::vector<DecodedInst>* decoded_ = nullptr;  ///< active decode
   DecodedInst scratch_dec_;            ///< off-image decode_at() result
 
   /// The capture engine's change list: components mark into it as they

@@ -79,11 +79,10 @@ class Trace {
   /// ascending order within a tick.
   unsigned record(SignalId id, std::uint64_t value);
 
-  /// Bulk dirty-set recorder — THE dirty-word scan loop, shared by the
-  /// detailed core and the fast tier. Walks the set bits of `dirty_words`
-  /// (one bit per signal id, ascending — which satisfies record()'s
-  /// ordering contract), evaluates each via `value_fn(id)`, and records
-  /// it for the open tick. Signals whose bit is clear are untouched: the
+  /// Bulk dirty-set recorder — the core's per-cycle capture loop. Walks
+  /// the set bits of `dirty_words` (one bit per signal id, ascending —
+  /// which satisfies record()'s ordering contract), evaluates each via
+  /// `value_fn(id)`, and records it for the open tick. Signals whose bit is clear are untouched: the
   /// live array keeps their previous value, which is exactly what a full
   /// sweep would have re-recorded (unchanged values append no event), so
   /// a conservative superset dirty set yields a byte-identical event

@@ -1,5 +1,5 @@
 // Determinism and thread-safety coverage for the parallel campaign engine
-// (scheduler → workers → merger, core/specure.hpp).
+// (scheduler → workers → merger, core/session.hpp).
 //
 // The engine's contract: at a fixed rng_seed and batch_size, the
 // CampaignResult is bit-identical regardless of the worker count, and
@@ -11,7 +11,7 @@
 #include "core/coverage_calc.hpp"
 #include "core/mst.hpp"
 #include "core/offline.hpp"
-#include "core/specure.hpp"
+#include "core/session.hpp"
 #include "core/vuln_detect.hpp"
 #include "fuzz/corpus.hpp"
 #include "sim/core.hpp"
@@ -49,16 +49,22 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.pdlc_total, b.pdlc_total);
 }
 
+CampaignSpec campaign_spec(std::size_t jobs, std::size_t batch_size,
+                           std::uint64_t iterations, std::uint64_t seed) {
+  CampaignSpec spec;
+  spec.rng_seed = seed;
+  spec.jobs = jobs;
+  spec.batch_size = batch_size;
+  spec.budget.iterations = iterations;
+  return spec;
+}
+
 CampaignResult run_campaign(std::size_t jobs, std::size_t batch_size,
                             std::uint64_t iterations, std::uint64_t seed,
                             bool zenbleed = false) {
-  EngineOptions opts;
-  opts.rng_seed = seed;
-  opts.jobs = jobs;
-  opts.batch_size = batch_size;
-  opts.core.vuln.zenbleed_emulation = zenbleed;
-  SpecureEngine engine(opts);
-  return engine.run(iterations);
+  CampaignSpec spec = campaign_spec(jobs, batch_size, iterations, seed);
+  spec.core.vuln.zenbleed_emulation = zenbleed;
+  return Session(spec).run();
 }
 
 TEST(CampaignParallel, Jobs4MatchesJobs1) {
@@ -79,7 +85,7 @@ TEST(CampaignParallel, BatchSizeOneMatchesLegacyReferenceLoop) {
   // Hand-rolled replica of the pre-pipeline serial engine: per-iteration
   // feedback, one simulator, direct update() calls. The engine at
   // batch_size == 1 must reproduce it exactly for any worker count.
-  EngineOptions opts;
+  CampaignSpec opts;
   opts.rng_seed = 5;
 
   OfflineResult offline = run_offline_phase(opts.core, opts.pdlc);
@@ -135,13 +141,10 @@ TEST(CampaignParallel, BatchSizeOneMatchesLegacyReferenceLoop) {
 }
 
 TEST(CampaignParallel, StopPredicateEndsMidBatch) {
-  EngineOptions opts;
-  opts.rng_seed = 22;
-  opts.jobs = 4;
-  opts.batch_size = 16;
-  SpecureEngine engine(opts);
-  const auto res = engine.run(
-      1000, [](const CampaignResult& r) { return r.history.size() >= 7; });
+  Session session(campaign_spec(4, 16, 1000, 22));
+  session.add_stop(
+      [](const CampaignResult& r) { return r.history.size() >= 7; });
+  const auto res = session.run();
   EXPECT_EQ(res.history.size(), 7u);
 }
 
@@ -164,12 +167,9 @@ TEST(CampaignParallel, ThreadSafetySmoke) {
 }
 
 TEST(CampaignParallel, ZeroJobsResolvesToHardwareConcurrency) {
-  EngineOptions opts;
-  opts.jobs = 0;
-  opts.batch_size = 8;
-  SpecureEngine engine(opts);
-  EXPECT_GE(engine.resolved_jobs(), 1u);
-  EXPECT_LE(engine.resolved_jobs(), 8u);  // clipped to the batch size
+  const Session session(campaign_spec(0, 8, 1000, 1));
+  EXPECT_GE(session.resolved_jobs(), 1u);
+  EXPECT_LE(session.resolved_jobs(), 8u);  // clipped to the batch size
 }
 
 TEST(ThreadPool, RunsEveryTaskExactlyOnceAndPropagatesErrors) {

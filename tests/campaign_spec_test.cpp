@@ -4,6 +4,7 @@
 // bit-identical campaign result at a fixed seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -211,6 +212,36 @@ TEST(CampaignSpecToml, LoadMissingFileFails) {
   EXPECT_NE(error_of([] { CampaignSpec::load("/nonexistent/x.toml"); })
                 .find("cannot open"),
             std::string::npos);
+}
+
+TEST(CampaignSpecDeprecated, TierSpecKeyRoundTrip) {
+  CampaignSpec spec;
+  EXPECT_EQ(spec.tier, TierMode::kFast);  // fast is the default
+  EXPECT_TRUE(spec.deprecation_notes.empty());
+  spec.set("tier", "detailed");
+  EXPECT_EQ(spec.tier, TierMode::kDetailed);
+  ASSERT_EQ(spec.deprecation_notes.size(), 1u);
+  EXPECT_NE(spec.deprecation_notes[0].find("'tier' is deprecated"),
+            std::string::npos);
+  const CampaignSpec reloaded = CampaignSpec::from_toml_string(spec.to_toml());
+  EXPECT_EQ(reloaded, spec);
+  spec.set("tier", "fast");
+  EXPECT_EQ(spec.tier, TierMode::kFast);
+  EXPECT_EQ(spec.deprecation_notes.size(), 1u);  // one note per key
+  EXPECT_THROW(spec.set("tier", "warp"), SpecError);
+}
+
+TEST(CampaignSpecDeprecated, TierKeyIsAcceptedButNeverWrittenOrListed) {
+  // Old spec files carry the key; they still load, to the same campaign.
+  const CampaignSpec defaults;
+  const CampaignSpec old_file = CampaignSpec::from_toml_string(
+      "[campaign]\n"
+      "tier = \"fast\"\n");
+  EXPECT_EQ(old_file, defaults);
+  EXPECT_EQ(old_file.deprecation_notes.size(), 1u);
+  EXPECT_EQ(old_file.to_toml().find("tier"), std::string::npos);
+  const auto keys = CampaignSpec::keys();
+  EXPECT_EQ(std::find(keys.begin(), keys.end(), "tier"), keys.end());
 }
 
 TEST(CampaignSpecFields, KeysAreUniqueAndCoverEveryField) {

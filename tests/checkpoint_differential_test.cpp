@@ -43,15 +43,13 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
 
 CampaignResult run_campaign(const std::string& preset, bool checkpoint,
                             std::size_t jobs, std::uint64_t iterations,
-                            std::uint64_t seed,
-                            TierMode tier = TierMode::kFast) {
+                            std::uint64_t seed) {
   CampaignSpec spec = CampaignSpec::preset(preset);
   spec.rng_seed = seed;
   spec.jobs = jobs;
   spec.batch_size = 16;
   spec.budget.iterations = iterations;
   spec.checkpoint = checkpoint;
-  spec.tier = tier;
   spec.progress_interval = 0;
   Session session(std::move(spec));
   return session.run();
@@ -97,49 +95,6 @@ TEST(CheckpointDifferential, TinyCacheBudgetStillIdentical) {
   spec.progress_interval = 0;
   Session tiny(std::move(spec));
   expect_identical(tiny.run(), run_campaign("default", false, 2, 150, 13));
-}
-
-// ---- tiered execution: tier=fast must never change a CampaignResult ----
-
-TEST(TieredCampaignDifferential, DefaultPresetMatrix) {
-  // One detailed baseline against the full tier=fast matrix:
-  // checkpoint on|off × jobs 1|4 (the fast tier composes with the
-  // checkpoint fast path — cache hits past the handoff still win).
-  const CampaignResult detailed =
-      run_campaign("default", true, 1, 200, 7, TierMode::kDetailed);
-  for (const bool checkpoint : {true, false}) {
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-      expect_identical(detailed, run_campaign("default", checkpoint, jobs,
-                                              200, 7, TierMode::kFast));
-    }
-  }
-}
-
-TEST(TieredCampaignDifferential, FullPresetMatrix) {
-  // The full preset monitors the data cache, so loads arm the handoff
-  // scan (the most conservative fast-tier policy) — and it actually
-  // produces findings, covering the detector path end to end.
-  const CampaignResult detailed =
-      run_campaign("full", true, 1, 120, 9, TierMode::kDetailed);
-  EXPECT_FALSE(detailed.vulns.empty());
-  for (const bool checkpoint : {true, false}) {
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-      expect_identical(detailed, run_campaign("full", checkpoint, jobs, 120,
-                                              9, TierMode::kFast));
-    }
-  }
-}
-
-TEST(TieredCampaignDifferential, TierSpecKeyRoundTrip) {
-  CampaignSpec spec;
-  EXPECT_EQ(spec.tier, TierMode::kFast);  // fast is the default
-  spec.set("tier", "detailed");
-  EXPECT_EQ(spec.tier, TierMode::kDetailed);
-  const CampaignSpec reloaded = CampaignSpec::from_toml_string(spec.to_toml());
-  EXPECT_EQ(reloaded, spec);
-  spec.set("tier", "fast");
-  EXPECT_EQ(spec.tier, TierMode::kFast);
-  EXPECT_THROW(spec.set("tier", "warp"), SpecError);
 }
 
 TEST(CheckpointDifferential, SpecKeysRoundTrip) {

@@ -159,7 +159,7 @@ TEST(ObsTrace, ChromeTraceIsWellFormedJson) {
   rec.record(0, "execute", "pipeline", t0, t1, 7, {"cache_hit", 1});
   rec.record(1, "merge", "pipeline", t1, t1 + std::chrono::microseconds(3),
              7);
-  rec.record(0, "fast_tier", "sim", t0, t1, 8, {"handoff", 24});
+  rec.record(0, "checkpoint_resume", "sim", t0, t1, 8, {"resume_cycle", 24});
   EXPECT_EQ(rec.size(), 3u);
   EXPECT_EQ(rec.dropped(), 0u);
 

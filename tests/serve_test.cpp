@@ -164,6 +164,58 @@ TEST(CampaignState, CompletedStateResumesToStoredResultWithoutRerun) {
   EXPECT_EQ(normalized_report(result), expected);
 }
 
+/// Insert `line` into the [campaign] section of a state image's embedded
+/// spec and re-frame the payload (length + checksum), producing the file
+/// a build that still wrote that key would have left behind.
+std::string with_campaign_line(const std::string& bytes,
+                               const std::string& line) {
+  constexpr std::size_t kPrefix = 8 + 4;  // magic + format version
+  constexpr std::size_t kHeader = kPrefix + 8 + 8;  // + length + checksum
+  const std::string_view payload = std::string_view(bytes).substr(kHeader);
+  ByteReader r(payload);
+  std::string toml = r.str("embedded spec");
+  const std::string section = "[campaign]\n";
+  const std::size_t at = toml.find(section);
+  EXPECT_NE(at, std::string::npos);
+  toml.insert(at + section.size(), line + "\n");
+
+  ByteWriter rebuilt;
+  rebuilt.str(toml);
+  rebuilt.bytes(payload.data() + r.pos(), r.remaining());
+  ByteWriter out;
+  out.bytes(bytes.data(), kPrefix);
+  out.u64(rebuilt.size());
+  out.u64(fnv1a(rebuilt.data().data(), rebuilt.size()));
+  out.bytes(rebuilt.data().data(), rebuilt.size());
+  return out.take();
+}
+
+TEST(CampaignState, DeprecatedTierKeyInStateResumesBitIdentically) {
+  // State files written while the fast tier existed embed `tier = ...`;
+  // the key is now a no-op, and such a file must still decode and
+  // resume to the uninterrupted result.
+  const core::CampaignSpec spec = small_spec("full", 20, 9, 2);
+  core::Session uninterrupted(spec);
+  std::vector<std::string> states;
+  uninterrupted.on_frontier([&](const core::CampaignFrontier& f) {
+    if (!f.completed) states.push_back(encode_state(spec, f));
+  });
+  const std::string expected = normalized_report(uninterrupted.run());
+  ASSERT_FALSE(states.empty());
+
+  for (const char* tier : {"fast", "detailed"}) {
+    SCOPED_TRACE(tier);
+    const std::string old_bytes = with_campaign_line(
+        states[states.size() / 2], std::string("tier = \"") + tier + "\"");
+    CampaignState state = decode_state(old_bytes, "test");
+    EXPECT_EQ(state.spec, spec);
+    EXPECT_EQ(state.spec.deprecation_notes.size(), 1u);
+    core::Session resumed(resume_spec(state, state.spec));
+    resumed.resume_from(std::move(state.frontier));
+    EXPECT_EQ(normalized_report(resumed.run()), expected);
+  }
+}
+
 // ---- durable state: rejection of bad files --------------------------------
 
 class StateRejection : public ::testing::Test {

@@ -1,13 +1,11 @@
 // Session coverage: the typed event/observer API, composable stop
 // conditions (budgets + custom), and the batch-determinism contract
-// holding through the new path (including the deprecated SpecureEngine
-// shim delegating onto it).
+// holding through the new path.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/session.hpp"
-#include "core/specure.hpp"
 
 namespace specure::core {
 namespace {
@@ -183,39 +181,25 @@ TEST(Session, StopOnFindingHelper) {
   }
 }
 
-TEST(EngineShim, MatchesSessionExactly) {
-  EngineOptions opts;
-  opts.rng_seed = 33;
-  opts.jobs = 2;
-  opts.batch_size = 16;
-  opts.core.vuln.zenbleed_emulation = true;
-  SpecureEngine engine(opts);
-  const CampaignResult via_shim = engine.run(96);
-
-  CampaignSpec spec = opts.to_spec();
-  spec.budget.iterations = 96;
-  const CampaignResult via_session = Session(spec).run();
-  expect_identical(via_shim, via_session);
+TEST(Session, RepeatedRunsDoNotCarryAnEarlyStop) {
+  CampaignSpec spec;
+  spec.rng_seed = 22;
+  spec.batch_size = 8;
+  spec.budget.iterations = 30;
+  Session session(spec);
+  bool limit = true;
+  session.add_stop([&limit](const CampaignResult& r) {
+    return limit && r.history.size() >= 5;
+  });
+  EXPECT_EQ(session.run().history.size(), 5u);
+  // A stopped run is not a pause: the next run() is a fresh campaign,
+  // not a continuation of the stopped one.
+  limit = false;
+  EXPECT_EQ(session.run().history.size(), 30u);
 }
 
-TEST(EngineShim, RepeatedRunsDoNotStackStopConditions) {
-  EngineOptions opts;
-  opts.rng_seed = 22;
-  opts.batch_size = 8;
-  SpecureEngine engine(opts);
-  const auto limited = engine.run(
-      100, [](const CampaignResult& r) { return r.history.size() >= 5; });
-  EXPECT_EQ(limited.history.size(), 5u);
-  // The previous run's stop must not leak into this one.
-  const auto full = engine.run(30);
-  EXPECT_EQ(full.history.size(), 30u);
-}
-
-TEST(EngineShim, JobsDefaultIsAllHardwareThreads) {
-  // The library and CLI defaults are unified: jobs == 0 means every
-  // hardware thread (clipped to the batch size, which defaults to 1).
-  const EngineOptions opts;
-  EXPECT_EQ(opts.jobs, 0u);
+TEST(Session, JobsDefaultIsAllHardwareThreads) {
+  // jobs == 0 means every hardware thread (clipped to the batch size).
   const CampaignSpec spec;
   EXPECT_EQ(spec.jobs, 0u);
 }

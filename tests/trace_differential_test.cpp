@@ -13,7 +13,6 @@
 #include "core/coverage_calc.hpp"
 #include "core/mst.hpp"
 #include "core/offline.hpp"
-#include "fuzz/mutator.hpp"
 #include "fuzz/seeds.hpp"
 #include "riscv/program.hpp"
 #include "sim/core.hpp"
@@ -447,27 +446,6 @@ TEST(TraceDifferential, DirtyCaptureMatchesDenseSweepAcrossConfigs) {
       const sim::RunResult dense = dense_sim.run(program);
       SCOPED_TRACE(preset);
       expect_bit_identical(dirty, dense);
-    }
-  }
-}
-
-TEST(TraceDifferential, TieredDirtyCaptureMatchesDenseUnderLoadsArm) {
-  // The fast tier shares the capture engine; a tiered run (both handoff
-  // policies — loads_arm is the cache-monitoring detector's conservative
-  // scan) must produce the dense reference's exact event stream.
-  sim::CoreConfig cfg = preset_cfg("full");
-  sim::Simulator tiered_sim(cfg);
-  cfg.record_dense_trace = true;
-  sim::Simulator dense_sim(cfg);
-  for (const auto& program : corpus()) {
-    const sim::RunResult dense = dense_sim.run(program);
-    for (const bool loads_arm : {false, true}) {
-      const auto& dec = tiered_sim.decode(program);
-      const std::size_t handoff = fuzz::handoff_index(dec, loads_arm);
-      sim::RunResult tiered(&tiered_sim.signal_db());
-      tiered_sim.run_tiered(program, handoff, tiered, nullptr, &dec);
-      SCOPED_TRACE(loads_arm ? "loads_arm" : "branches_only");
-      expect_bit_identical(tiered, dense);
     }
   }
 }

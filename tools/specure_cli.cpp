@@ -21,8 +21,6 @@
 //   specure presets [--keys]
 //       List the named scenario presets (and, with --keys, every
 //       key=value override the spec layer accepts).
-//   specure fuzz [--iters N] [--seed S] ...   (deprecated: use `run`)
-//       The pre-spec flat-flag interface, kept for one release.
 //   specure offline [--mwait] [--zenbleed] [--dot FILE] [--verilog FILE]
 //       Run the offline phase on MiniBOOM; print IFG/PDLC statistics.
 //   specure audit FILE.v --top MODULE [--dot FILE]
@@ -37,6 +35,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -50,7 +49,6 @@
 #include "core/offline.hpp"
 #include "core/report.hpp"
 #include "core/session.hpp"
-#include "core/specure.hpp"
 #include "core/sweep.hpp"
 #include "riscv/disasm.hpp"
 #include "serve/campaign_state.hpp"
@@ -174,6 +172,17 @@ bool parse_args(int argc, char** argv, int first,
 
 // ------------------------------------------------------------- spec helpers --
 
+/// Note on stderr, once per process, each deprecated key the spec was
+/// given (by override, spec file, state file or report).
+void note_deprecated_keys(const core::CampaignSpec& spec) {
+  static std::vector<std::string> noted;
+  for (const std::string& note : spec.deprecation_notes) {
+    if (std::find(noted.begin(), noted.end(), note) != noted.end()) continue;
+    std::fprintf(stderr, "specure: note: %s\n", note.c_str());
+    noted.push_back(note);
+  }
+}
+
 /// Apply the --iters/--seed sugar plus every key=value override, in order.
 void apply_common_overrides(core::CampaignSpec& spec, const Args& args) {
   if (args.has("--iters")) spec.set("iterations", args.get("--iters"));
@@ -183,6 +192,7 @@ void apply_common_overrides(core::CampaignSpec& spec, const Args& args) {
   for (const std::string& assignment : args.overrides) {
     spec.apply_override(assignment);
   }
+  note_deprecated_keys(spec);
 }
 
 /// Attach the standard progress/vuln/triage stderr feed to a session.
@@ -216,7 +226,7 @@ void attach_console_observers(core::Session& session, bool quiet) {
   });
 }
 
-/// Shared tail of run/fuzz: text report, optional JSON, exit code.
+/// Tail of `run`: text report, optional JSON, exit code.
 int report_and_exit_code(const core::CampaignResult& result,
                          const core::CampaignSpec& spec,
                          const core::Session& session, const Args& args) {
@@ -232,13 +242,9 @@ int report_and_exit_code(const core::CampaignResult& result,
                 stats.result_wait_seconds, stats.vcd_seconds);
     for (std::size_t w = 0; w < stats.workers.size(); ++w) {
       const core::PipelineWorkerStats& ws = stats.workers[w];
-      std::printf("  worker %zu: %llu jobs  execute %.3fs  queue-wait %.3fs"
-                  "  fast-cycles %llu  handoffs %llu  tier-fallbacks %llu\n",
+      std::printf("  worker %zu: %llu jobs  execute %.3fs  queue-wait %.3fs\n",
                   w, static_cast<unsigned long long>(ws.jobs),
-                  ws.execute_seconds, ws.queue_wait_seconds,
-                  static_cast<unsigned long long>(ws.fast_cycles),
-                  static_cast<unsigned long long>(ws.handoffs),
-                  static_cast<unsigned long long>(ws.tier_fallbacks));
+                  ws.execute_seconds, ws.queue_wait_seconds);
     }
     // Latency percentiles from the session's metrics registry (log2
     // histogram estimates; registered unless the spec set metrics=false).
@@ -547,6 +553,7 @@ int cmd_triage(const Args& args) {
     for (const std::string& assignment : args.overrides) {
       report.spec.apply_override(assignment);
     }
+    note_deprecated_keys(report.spec);
     report.spec.validate();
     if (report.findings.empty()) {
       std::printf("no findings in %s — nothing to triage\n", input.c_str());
@@ -632,46 +639,6 @@ int cmd_presets(const Args& args) {
     std::printf("\n(`specure presets --keys` lists the override keys)\n");
   }
   return kExitOk;
-}
-
-const std::vector<FlagDef> kFuzzFlags = {
-    {"--iters", true, "iteration budget"},
-    {"--seed", true, "campaign RNG seed"},
-    {"--mwait", false, "arm the (M)WAIT emulation"},
-    {"--zenbleed", false, "arm the Zenbleed emulation"},
-    {"--monitor-cache", false, "add the data cache to the monitored sinks"},
-    {"--feedback", true, "feedback mode: lp | codecov"},
-    {"--jobs", true, "worker threads, 0 = all hardware"},
-    {"--batch", true, "batch size"},
-    {"--stop-after-vulns", true, "stop after N distinct findings"},
-    {"--json", true, "write the JSON report to FILE"},
-    {"--no-special-seeds", false, "disable the §3.2 transient-window seeds"},
-    {"--quiet", false, "suppress the progress feed"},
-    {"--stats", false, "print per-stage pipeline timing after the campaign"},
-};
-
-int cmd_fuzz(const Args& args) {
-  std::fprintf(stderr,
-               "note: `specure fuzz` is deprecated; use `specure run` "
-               "(same behaviour, declarative specs)\n");
-  core::CampaignSpec spec;
-  spec.name = "fuzz";
-  spec.budget.iterations = 1000;
-  spec.core.vuln.mwait_emulation = args.has("--mwait");
-  spec.core.vuln.zenbleed_emulation = args.has("--zenbleed");
-  spec.detector.monitor_cache = args.has("--monitor-cache");
-  spec.fuzzer.use_special_seeds = !args.has("--no-special-seeds");
-  if (args.has("--feedback")) spec.set("feedback", args.get("--feedback"));
-  if (args.has("--stop-after-vulns")) {
-    spec.set("max_vulns", args.get("--stop-after-vulns"));
-  }
-  apply_common_overrides(spec, args);
-  spec.validate();
-
-  core::Session session(spec);
-  attach_console_observers(session, args.has("--quiet"));
-  const core::CampaignResult result = session.run();
-  return report_and_exit_code(result, spec, session, args);
 }
 
 const std::vector<FlagDef> kOfflineFlags = {
@@ -1041,7 +1008,6 @@ const std::vector<CommandDef>& commands() {
       {"sweep", &kSweepFlags, true, cmd_sweep},
       {"triage", &kTriageFlags, true, cmd_triage},
       {"presets", &kPresetsFlags, false, cmd_presets},
-      {"fuzz", &kFuzzFlags, true, cmd_fuzz},
       {"offline", &kOfflineFlags, false, cmd_offline},
       {"audit", &kAuditFlags, false, cmd_audit},
       {"disasm", nullptr, false, cmd_disasm},
@@ -1061,7 +1027,7 @@ const std::vector<CommandDef>& commands() {
 void usage() {
   std::fprintf(
       stderr,
-      "specure <run|sweep|triage|presets|fuzz|offline|audit|disasm|serve|"
+      "specure <run|sweep|triage|presets|offline|audit|disasm|serve|"
       "submit|status|metrics|events|pause|resume|cancel|shutdown> [options]\n"
       "  run [SPEC.toml] [--preset NAME] [key=value ...] [--iters N]\n"
       "      [--seed S] [--json F] [--save F] [--vcd-out DIR] [--dry-run]\n"
@@ -1072,10 +1038,6 @@ void usage() {
       "  triage REPORT.json|SPEC.toml [--out DIR] [--jobs N] [--json F]\n"
       "      [key=value ...] [--quiet]\n"
       "  presets [--keys]\n"
-      "  fuzz [--iters N] [--seed S] [--mwait] [--zenbleed]\n"
-      "      [--monitor-cache] [--feedback lp|codecov] [--jobs N]\n"
-      "      [--batch B] [--stop-after-vulns K] [--json F]\n"
-      "      [--no-special-seeds] [--quiet]   (deprecated: use `run`)\n"
       "  offline [--mwait] [--zenbleed] [--dot F] [--verilog F]\n"
       "  audit FILE.v --top MODULE [--dot F]\n"
       "  disasm HEXWORD [PC]\n"
