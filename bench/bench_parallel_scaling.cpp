@@ -8,13 +8,19 @@
 // row also reports its per-stage split (generate / execute / queue-wait /
 // merge), so a scaling regression names the stage that ate the speedup.
 //
-// Scaling gate: on hosts with >= 4 hardware threads the jobs=4 row must
-// reach at least 2x the jobs=1 throughput (checkpoint-off pair — the
-// cold-simulation baseline, free of cache warm-up effects). On smaller
-// hosts the extra workers just time-slice one core, so the gate is
-// skipped with a visible notice instead of reporting a fake failure.
+// Scaling gate: on hosts with >= 4 hardware threads, jobs=4 must reach at
+// least 2x the jobs=1 throughput (checkpoint off — the cold-simulation
+// baseline, free of cache warm-up effects). One short row pair is too
+// noisy to gate on (0.94-3.12x across runs of the same build at 400
+// iterations), so the gate runs kGatePairs interleaved jobs=1 / jobs=4
+// pairs of kGateIters iterations each and gates on the median pair
+// speedup, printing the min and max beside it. On smaller hosts the
+// extra workers just time-slice one core, so the gate is skipped with a
+// visible notice instead of reporting a fake failure.
+#include <algorithm>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -38,8 +44,6 @@ int main(int argc, char** argv) {
   double base_ips = 0;
   std::size_t base_lp = 0;
   bool base_set = false;
-  double ips_jobs1_nockpt = 0;
-  double ips_jobs4_nockpt = 0;
   // checkpoint=off rows first (the cold baseline), then the default
   // checkpointed rows — every row runs the same campaign, so lp-cov must
   // agree across the whole matrix (jobs AND checkpoint invariance).
@@ -98,8 +102,6 @@ int main(int argc, char** argv) {
                     lp, base_lp);
         return 1;
       }
-      if (!checkpoint && jobs == 1) ips_jobs1_nockpt = ips;
-      if (!checkpoint && jobs == 4) ips_jobs4_nockpt = ips;
       // The full registry snapshot of the deepest row (jobs=8,
       // checkpoint=on) rides along in the JSON.
       if (checkpoint && jobs == 8) {
@@ -116,21 +118,67 @@ int main(int argc, char** argv) {
   // Scaling gate (see the file comment): only meaningful when 4 workers
   // can actually run on 4 hardware threads.
   const unsigned hw = std::thread::hardware_concurrency();
-  if (hw >= 4) {
-    const double speedup = ips_jobs1_nockpt > 0
-                               ? ips_jobs4_nockpt / ips_jobs1_nockpt
-                               : 0.0;
-    json.metric("speedup_jobs4_nockpt", speedup);
-    if (speedup < 2.0) {
-      std::printf("  !! scaling gate FAILED: jobs=4 is %.2fx jobs=1 "
-                  "(need >= 2.00x on %u hardware threads)\n",
-                  speedup, hw);
-      return 1;
-    }
-    std::printf("  scaling gate passed: jobs=4 is %.2fx jobs=1\n", speedup);
-  } else {
+  json.metric("nproc", hw);
+  if (hw < 4) {
     bench::note("scaling gate SKIPPED: only " + std::to_string(hw) +
                 " hardware thread(s); the >= 2x jobs=4 check needs >= 4");
+    return 0;
   }
+  constexpr std::size_t kGatePairs = 5;
+  constexpr std::uint64_t kGateIters = 2000;
+  const auto gate_ips = [&](std::size_t jobs) {
+    core::CampaignSpec spec;
+    spec.rng_seed = 1;
+    spec.jobs = jobs;
+    spec.batch_size = kBatch;
+    spec.budget.iterations = kGateIters;
+    spec.checkpoint = false;
+    const core::CampaignResult result = bench::run_spec(spec);
+    return std::make_pair(
+        static_cast<double>(result.history.size()) / result.seconds,
+        result.history.back().covered_pdlc);
+  };
+  std::printf("  scaling gate: %zu interleaved jobs=1/jobs=4 pairs, %llu "
+              "iterations each, checkpoint off\n",
+              kGatePairs, static_cast<unsigned long long>(kGateIters));
+  std::vector<double> speedups;
+  std::size_t gate_lp = 0;
+  for (std::size_t pair = 0; pair < kGatePairs; ++pair) {
+    // Alternate which side runs first, so slow drift in the host's
+    // background load does not favour one side.
+    const bool serial_first = pair % 2 == 0;
+    const auto first = gate_ips(serial_first ? 1 : 4);
+    const auto second = gate_ips(serial_first ? 4 : 1);
+    const auto& serial = serial_first ? first : second;
+    const auto& parallel = serial_first ? second : first;
+    if (pair == 0) gate_lp = serial.second;
+    if (serial.second != gate_lp || parallel.second != gate_lp) {
+      std::printf("  !! determinism violation in gate pair %zu: lp-cov "
+                  "%zu / %zu != %zu\n",
+                  pair, serial.second, parallel.second, gate_lp);
+      return 1;
+    }
+    speedups.push_back(parallel.first / serial.first);
+    std::printf("    pair %zu: jobs=1 %.1f iters/sec, jobs=4 %.1f "
+                "iters/sec, %.2fx\n",
+                pair, serial.first, parallel.first, speedups.back());
+  }
+  std::sort(speedups.begin(), speedups.end());
+  const double median = speedups[speedups.size() / 2];
+  json.metric("speedup_jobs4_nockpt", median);
+  json.metric("speedup_jobs4_nockpt_min", speedups.front());
+  json.metric("speedup_jobs4_nockpt_max", speedups.back());
+  json.metric("gate_pairs", kGatePairs);
+  json.metric("gate_iterations", kGateIters);
+  if (median < 2.0) {
+    std::printf("  !! scaling gate FAILED: median jobs=4 speedup %.2fx "
+                "(min %.2fx, max %.2fx; need >= 2.00x on %u hardware "
+                "threads)\n",
+                median, speedups.front(), speedups.back(), hw);
+    return 1;
+  }
+  std::printf("  scaling gate passed: median jobs=4 speedup %.2fx (min "
+              "%.2fx, max %.2fx)\n",
+              median, speedups.front(), speedups.back());
   return 0;
 }

@@ -205,20 +205,15 @@ const std::vector<KeyDef>& key_table() {
              [](CampaignSpec& s, const std::string& v) {
                s.batch_size = static_cast<std::size_t>(parse_u64("batch", v));
              }},
-      KeyDef{"pipeline", "campaign", true,
-             [](const CampaignSpec& s) {
-               return std::string(pipeline_mode_name(s.pipeline));
-             },
-             [](CampaignSpec& s, const std::string& v) {
-               if (v == "window") {
-                 s.pipeline = PipelineMode::kWindow;
-               } else if (v == "barrier") {
-                 s.pipeline = PipelineMode::kBarrier;
-               } else {
+      KeyDef{"pipeline", "campaign", true, nullptr,
+             [](CampaignSpec&, const std::string& v) {
+               if (v != "window" && v != "barrier") {
                  throw SpecError("pipeline: '" + v +
                                  "' is not an executor (window | barrier)");
                }
-             }},
+             },
+             "spec key 'pipeline' is deprecated and ignored: the "
+             "sliding-window executor is the only executor"},
       KeyDef{"tier", "campaign", true, nullptr,
              [](CampaignSpec& s, const std::string& v) {
                if (v == "detailed") {
@@ -357,10 +352,6 @@ std::string_view feedback_mode_name(FeedbackMode mode) {
 
 std::string_view lp_policy_name(LpPolicy policy) {
   return policy == LpPolicy::kAllSignals ? "all-signals" : "endpoints";
-}
-
-std::string_view pipeline_mode_name(PipelineMode mode) {
-  return mode == PipelineMode::kWindow ? "window" : "barrier";
 }
 
 std::string_view triage_mode_name(TriageMode mode) {

@@ -69,18 +69,6 @@ enum class TriageMode : std::uint8_t { kOff, kOn, kFull };
 
 std::string_view triage_mode_name(TriageMode mode);
 
-/// Campaign executor strategy. Both modes implement the same sliding-
-/// window generation contract (job k is generated from the merged state
-/// through iteration k - batch_size), so they produce bit-identical
-/// CampaignResults at a fixed seed; they differ only in wall-clock
-/// behaviour. kWindow overlaps generation, simulation and merging with
-/// no global barrier; kBarrier executes one window at a time with a
-/// convoy barrier between execute and merge — kept as the reference
-/// executor the pipelined path is differentially pinned against.
-enum class PipelineMode : std::uint8_t { kWindow, kBarrier };
-
-std::string_view pipeline_mode_name(PipelineMode mode);
-
 /// DEPRECATED, ignored: the execution tier of the removed
 /// fast-functional prefix tier. Every job runs on the detailed core; the
 /// value is only parsed from the deprecated `tier` key.
@@ -112,11 +100,6 @@ struct CampaignSpec {
   /// latency for parallelism; 1 reproduces the classic serial
   /// generate -> simulate -> feed-back loop exactly.
   std::size_t batch_size = 32;
-  /// Executor strategy: window (pipelined, default) | barrier (the
-  /// batch-synchronous reference executor). Never affects campaign
-  /// results — both implement the same generation contract — only
-  /// wall-clock scaling.
-  PipelineMode pipeline = PipelineMode::kWindow;
   /// DEPRECATED, ignored: set by the `tier = fast | detailed` key that
   /// old spec and state files carry. Not a spec field: never saved,
   /// echoed or compared.

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <exception>
 #include <fstream>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -314,11 +316,10 @@ CampaignResult Session::run() {
   const obs::Snapshot obs_base = reg.snapshot();
 
   // ---- shared in-order merge step ---------------------------------------
-  // Both executors implement the same generation contract (job k is
-  // generated from the merged state through iteration k - window) and
-  // funnel every result through this single-threaded step, strictly in
-  // iteration order — which is what makes the CampaignResult independent
-  // of the executor and the worker count.
+  // The executor generates job k from the merged state through iteration
+  // k - window and funnels every result through this single-threaded
+  // step, strictly in iteration order — which is what makes the
+  // CampaignResult independent of the worker count.
   std::uint64_t last_gain_iteration = 0;
   std::uint64_t last_progress = 0;
   std::uint64_t batch_index = 0;
@@ -473,7 +474,7 @@ CampaignResult Session::run() {
   };
 
   // ---- frontier capture + pause hook -------------------------------------
-  // Both executors call post_merge() after every merge_one + window
+  // The executor calls post_merge() after every merge_one + window
   // refill — the only points where the frontier invariant holds (jobs
   // issued through merged + |inflight|, feedback applied through merged).
   const auto capture_frontier = [&](bool completed) {
@@ -525,131 +526,19 @@ CampaignResult Session::run() {
     return at != 0 && merged_total >= at;
   };
 
-  // ---- barrier executor (reference) -------------------------------------
-  // One window at a time: execute every pending job with a parallel_for
-  // convoy, then merge in order, generating job k + window right after
-  // iteration k merges. Same operation sequence as the pipelined
-  // executor, so bit-identical results — kept as the differential
-  // reference and as the inline path for jobs == 1 (where a pipeline
-  // cannot overlap anything and thread handoff would be pure overhead).
-  const auto run_barrier = [&] {
-    if (!pool_ || pool_->contexts() < jobs) {
-      pool_ = std::make_unique<util::ThreadPool>(jobs);
-    }
-    util::ThreadPool& pool = *pool_;
-    const util::AtomicBitset& covered = merger.lp_covered_shadow();
-
-    std::vector<fuzz::FuzzJob> pending;
-    std::vector<fuzz::FuzzJob> next;
-    pending.reserve(window);
-    next.reserve(window);
-    {
-      const auto g0 = now();
-      fuzz::FuzzJob job;
-      while (pending.size() < window && draw_job(job)) {
-        pending.push_back(std::move(job));
-      }
-      const auto g1 = now();
-      o.generate.add(merge_lane_, to_ns(g1 - g0));
-      if (tracing) {
-        tracer_->record(merge_lane_, "generate", "pipeline", g0, g1);
-      }
-    }
-
-    std::vector<WorkerResult> results(window);
-    std::vector<std::vector<std::size_t>> groups(jobs);
-    while (!stopped && !paused && !pending.empty()) {
-      // Parent-affinity routing: each job is pinned to the worker that
-      // holds (or will build) its corpus parent's checkpoint set, so the
-      // per-worker checkpoint caches see every reuse opportunity. The
-      // assignment depends only on job content — never on timing — so
-      // results stay bit-identical for any worker count.
-      for (auto& group : groups) group.clear();
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        groups[CampaignScheduler::worker_for(pending[i], jobs)].push_back(i);
-      }
-      // Rebalance: a window dominated by one parent (small early corpus,
-      // replay seeds) would otherwise serialize on a single worker. Spill
-      // overflow beyond an even share to the least-loaded groups — worker
-      // results are assignment-independent, so this affects only which
-      // cache sees which job, never the campaign result.
-      if (jobs > 1) {
-        const std::size_t share = (pending.size() + jobs - 1) / jobs;
-        std::vector<std::size_t> overflow;
-        for (auto& group : groups) {
-          while (group.size() > share) {
-            overflow.push_back(group.back());
-            group.pop_back();
-          }
-        }
-        for (const std::size_t task : overflow) {
-          auto* least = &groups.front();
-          for (auto& group : groups) {
-            if (group.size() < least->size()) least = &group;
-          }
-          least->push_back(task);
-        }
-      }
-      pool.parallel_for(jobs, [&](std::size_t worker, std::size_t) {
-        for (const std::size_t task : groups[worker]) {
-          const auto j0 = now();
-          if (test_job_delay_) test_job_delay_(pending[task], worker);
-          workers_[worker]->process(pending[task], &covered, results[task]);
-          const std::uint64_t d = to_ns(now() - j0);
-          o.execute.add(worker, d);
-          o.h_execute.record(worker, d);
-        }
-        o.jobs_done.add(worker, groups[worker].size());
-      });
-
-      next.clear();
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        {
-          const auto m0 = now();
-          merge_one(results[i], pending[i], m0);
-          const auto m1 = now();
-          const std::uint64_t d = to_ns(m1 - m0);
-          o.merge.add(merge_lane_, d);
-          o.h_merge.record(merge_lane_, d);
-          if (tracing) {
-            tracer_->record(merge_lane_, "merge", "pipeline", m0, m1,
-                            pending[i].iteration);
-          }
-        }
-        if (stopped) break;
-        const auto g0 = now();
-        fuzz::FuzzJob job;
-        const bool drew = draw_job(job);
-        const auto g1 = now();
-        const std::uint64_t gd = to_ns(g1 - g0);
-        o.generate.add(merge_lane_, gd);
-        if (drew) {
-          o.h_generate.record(merge_lane_, gd);
-          if (tracing) {
-            tracer_->record(merge_lane_, "generate", "pipeline", g0, g1,
-                            job.iteration);
-          }
-          next.push_back(std::move(job));
-        }
-        // Pause boundary: the frontier invariant holds right here (merge
-        // + refill done). The rest of this window stays un-merged — its
-        // jobs are in `inflight`, so the frontier re-executes them.
-        if (post_merge()) {
-          paused = true;
-          break;
-        }
-      }
-      pending.swap(next);
-    }
-  };
-
-  // ---- pipelined sliding-window executor --------------------------------
+  // ---- sliding-window executor ------------------------------------------
   // No barrier anywhere: jobs flow to workers through per-worker SPSC
   // queues, results flow back through one MPSC ring, and this (caller)
   // thread merges strictly in iteration order, dispatching job k + window
   // the moment iteration k merges. Workers never park while in-flight
   // work exists, and the merge strand overlaps simulation completely.
-  const auto run_window = [&] {
+  // At jobs == 1 there is nothing to overlap, so no thread or queue is
+  // built: the merge strand runs each job inline, in iteration order, at
+  // the moment it needs that job's result.
+  const bool inline_jobs = jobs == 1;
+  std::mutex error_mu;
+  std::exception_ptr worker_error;
+  {
     // One slot per in-flight iteration: the job rides out to the worker
     // and the result rides back in the same slot, so the result shells
     // (windows/lp_hits/coverage buffers) recycle automatically when the
@@ -663,135 +552,153 @@ CampaignResult Session::run() {
     // In-flight jobs never exceed the window, so capacity window + 1
     // guarantees push() always succeeds (no producer-side blocking).
     std::vector<std::unique_ptr<util::SpscRing<std::uint32_t>>> job_queues;
-    job_queues.reserve(jobs);
-    for (std::size_t w = 0; w < jobs; ++w) {
+    for (std::size_t w = 0; !inline_jobs && w < jobs; ++w) {
       job_queues.push_back(
           std::make_unique<util::SpscRing<std::uint32_t>>(window + 1));
     }
-    util::MpscRing<std::uint32_t> completed(window + jobs + 1);
+    util::MpscRing<std::uint32_t> completed(inline_jobs ? 1
+                                                        : window + jobs + 1);
     constexpr std::uint32_t kErrorSignal = 0xffffffffu;
-    std::mutex error_mu;
-    std::exception_ptr worker_error;
 
     const util::AtomicBitset& covered = merger.lp_covered_shadow();
-
-    std::vector<std::thread> threads;
-    threads.reserve(jobs);
-    for (std::size_t w = 0; w < jobs; ++w) {
-      threads.emplace_back([&, w] {
-        util::SpscRing<std::uint32_t>& queue = *job_queues[w];
-        try {
-          std::uint32_t s = 0;
-          for (;;) {
-            const auto w0 = now();
-            if (!queue.pop_wait(s)) break;  // closed and drained
-            const auto w1 = now();
-            const std::uint64_t wd = to_ns(w1 - w0);
-            o.queue_wait.add(w, wd);
-            o.h_queue.record(w, wd);
-            if (tracing) {
-              tracer_->record(w, "queue_wait", "pipeline", w0, w1);
-            }
-            Slot& slot = slots[s];
-            if (test_job_delay_) test_job_delay_(slot.job, w);
-            workers_[w]->process(slot.job, &covered, slot.result);
-            const std::uint64_t ed = to_ns(now() - w1);
-            o.execute.add(w, ed);
-            o.h_execute.record(w, ed);
-            o.jobs_done.add(w);
-            completed.push(s);
-          }
-        } catch (...) {
-          {
-            std::lock_guard<std::mutex> lk(error_mu);
-            if (!worker_error) worker_error = std::current_exception();
-          }
-          completed.push(kErrorSignal);
-        }
-      });
-    }
-
-    // Dispatch bookkeeping — all merger-thread-private and a pure
-    // function of merged campaign state, so the worker assignment (and
-    // with it the checkpoint-cache population) is deterministic. Spill
-    // beyond an even share mirrors the barrier executor's rebalance:
-    // affinity is a cache hint, never a serialization point.
-    std::vector<std::size_t> slot_worker(window, 0);
-    std::vector<std::size_t> load(jobs, 0);
-    std::vector<bool> ready(window, false);
-    const std::size_t share = (window + jobs - 1) / jobs;
-    // Absolute campaign counters (resume continues mid-stream; slot
-    // indices are functions of absolute iteration numbers, so the slot
-    // mapping is identical to the uninterrupted run's).
-    std::uint64_t issued = merged_total;
-    std::uint64_t merged = merged_total;
-
-    // The most recent dispatch's parent-affinity decision (merge-strand
-    // private), tagged onto the generate span when tracing.
-    std::size_t last_affinity = 0;
-    std::size_t last_assigned = 0;
-
-    const auto dispatch = [&](fuzz::FuzzJob&& job) {
-      const auto s =
-          static_cast<std::uint32_t>((job.iteration - 1) % window);
-      const std::size_t affinity = CampaignScheduler::worker_for(job, jobs);
-      std::size_t w = affinity;
-      if (load[w] >= share) {
-        std::size_t least = 0;
-        for (std::size_t i = 1; i < jobs; ++i) {
-          if (load[i] < load[least]) least = i;
-        }
-        w = least;
-      }
-      last_affinity = affinity;
-      last_assigned = w;
-      slot_worker[s] = w;
-      ++load[w];
-      slots[s].job = std::move(job);
-      ++issued;
-      if (!job_queues[w]->push(s)) {
-        throw std::logic_error("pipeline job queue overflow (window bug)");
-      }
+    // Simulate and analyze the job in slot `s` on worker `w` — from that
+    // worker's thread, or inline on the merge strand.
+    const auto execute = [&](std::size_t w, std::uint32_t s) {
+      const auto e0 = now();
+      Slot& slot = slots[s];
+      if (test_job_delay_) test_job_delay_(slot.job, w);
+      workers_[w]->process(slot.job, &covered, slot.result);
+      const std::uint64_t d = to_ns(now() - e0);
+      o.execute.add(w, d);
+      o.h_execute.record(w, d);
+      o.jobs_done.add(w);
     };
 
-    {
-      const auto g0 = now();
-      fuzz::FuzzJob job;
-      while (issued - merged < window && draw_job(job)) {
-        dispatch(std::move(job));
-      }
-      const auto g1 = now();
-      o.generate.add(merge_lane_, to_ns(g1 - g0));
-      if (tracing) {
-        tracer_->record(merge_lane_, "generate", "pipeline", g0, g1);
-      }
-    }
+    // Shutdown, on every exit path — completion, a stop, a worker failure,
+    // or an exception thrown on the merge strand by an observer, stop
+    // condition or frontier sink (a joinable std::thread destroyed during
+    // unwinding would terminate the process). Closing the queues lets the
+    // workers finish what is already queued (at most one window) and
+    // exit; their leftover completions are discarded with the ring,
+    // leaving the merged result exactly at the stopping iteration.
+    std::vector<std::thread> threads;
+    const auto join_workers = [&] {
+      for (auto& queue : job_queues) queue->close();
+      for (auto& t : threads) t.join();
+    };
 
-    bool failed = false;
-    while (!stopped && !paused && !failed && merged < issued) {
-      std::uint32_t s = 0;
+    try {
+      for (std::size_t w = 0; w < job_queues.size(); ++w) {
+        threads.emplace_back([&, w] {
+          util::SpscRing<std::uint32_t>& queue = *job_queues[w];
+          try {
+            std::uint32_t s = 0;
+            for (;;) {
+              const auto w0 = now();
+              if (!queue.pop_wait(s)) break;  // closed and drained
+              const auto w1 = now();
+              const std::uint64_t wd = to_ns(w1 - w0);
+              o.queue_wait.add(w, wd);
+              o.h_queue.record(w, wd);
+              if (tracing) {
+                tracer_->record(w, "queue_wait", "pipeline", w0, w1);
+              }
+              execute(w, s);
+              completed.push(s);
+            }
+          } catch (...) {
+            {
+              std::lock_guard<std::mutex> lk(error_mu);
+              if (!worker_error) worker_error = std::current_exception();
+            }
+            completed.push(kErrorSignal);
+          }
+        });
+      }
+
+      // Dispatch bookkeeping — all merger-thread-private and a pure
+      // function of merged campaign state, so the worker assignment (and
+      // with it the checkpoint-cache population) is deterministic.
+      std::vector<std::size_t> slot_worker(window, 0);
+      std::vector<std::size_t> load(jobs, 0);
+      std::vector<bool> ready(window, false);
+      const std::size_t share = (window + jobs - 1) / jobs;
+      // Absolute campaign counters (resume continues mid-stream; slot
+      // indices are functions of absolute iteration numbers, so the slot
+      // mapping is identical to the uninterrupted run's).
+      std::uint64_t issued = merged_total;
+      std::uint64_t merged = merged_total;
+
+      // The most recent dispatch's parent-affinity decision (merge-strand
+      // private), tagged onto the generate span when tracing.
+      std::size_t last_affinity = 0;
+      std::size_t last_assigned = 0;
+
+      // Parent-affinity routing: each job is pinned to the worker that
+      // holds (or will build) its corpus parent's checkpoint set, so the
+      // per-worker checkpoint caches see every reuse opportunity. A worker
+      // already holding an even share of the window spills the job to the
+      // least-loaded worker: affinity is a cache hint, never a serialization
+      // point. Worker results are assignment-independent, so this affects
+      // only which cache sees which job, never the campaign result.
+      const auto dispatch = [&](fuzz::FuzzJob&& job) {
+        const auto s =
+            static_cast<std::uint32_t>((job.iteration - 1) % window);
+        const std::size_t affinity = CampaignScheduler::worker_for(job, jobs);
+        std::size_t w = affinity;
+        if (load[w] >= share) {
+          std::size_t least = 0;
+          for (std::size_t i = 1; i < jobs; ++i) {
+            if (load[i] < load[least]) least = i;
+          }
+          w = least;
+        }
+        last_affinity = affinity;
+        last_assigned = w;
+        slot_worker[s] = w;
+        ++load[w];
+        slots[s].job = std::move(job);
+        ++issued;
+        if (!inline_jobs && !job_queues[w]->push(s)) {
+          throw std::logic_error("pipeline job queue overflow (window bug)");
+        }
+      };
+
       {
-        const auto r0 = now();
-        if (!completed.pop_wait(s)) break;  // unreachable: never closed
-        const auto r1 = now();
-        const std::uint64_t d = to_ns(r1 - r0);
-        o.result_wait.add(merge_lane_, d);
-        o.h_result.record(merge_lane_, d);
+        const auto g0 = now();
+        fuzz::FuzzJob job;
+        while (issued - merged < window && draw_job(job)) {
+          dispatch(std::move(job));
+        }
+        const auto g1 = now();
+        o.generate.add(merge_lane_, to_ns(g1 - g0));
         if (tracing) {
-          tracer_->record(merge_lane_, "result_wait", "pipeline", r0, r1);
+          tracer_->record(merge_lane_, "generate", "pipeline", g0, g1);
         }
       }
-      if (s == kErrorSignal) {
-        failed = true;
-        break;
-      }
-      ready[s] = true;
-      // Merge every contiguous ready iteration, refilling the window
-      // after each merge (the freed slot is exactly the one iteration
+
+      // Merge the oldest in-flight iteration as soon as its result is in,
+      // then refill the window (the freed slot is exactly the one iteration
       // merged + window maps to).
-      for (;;) {
-        const std::size_t ns = static_cast<std::size_t>(merged % window);
-        if (!ready[ns]) break;
+      while (!stopped && !paused && merged < issued) {
+        const auto ns = static_cast<std::uint32_t>(merged % window);
+        if (inline_jobs) {
+          execute(0, ns);
+        } else if (!ready[ns]) {
+          std::uint32_t s = 0;
+          const auto r0 = now();
+          // pop_wait fails only on a closed ring, and this one never closes.
+          if (!completed.pop_wait(s) || s == kErrorSignal) break;
+          const auto r1 = now();
+          const std::uint64_t d = to_ns(r1 - r0);
+          o.result_wait.add(merge_lane_, d);
+          o.h_result.record(merge_lane_, d);
+          if (tracing) {
+            tracer_->record(merge_lane_, "result_wait", "pipeline", r0, r1);
+          }
+          ready[s] = true;
+          continue;
+        }
         ready[ns] = false;
         Slot& slot = slots[ns];
         --load[slot_worker[ns]];
@@ -830,35 +737,25 @@ CampaignResult Session::run() {
                 {"spilled", last_assigned != last_affinity ? 1 : 0});
           }
         }
+        // Pause boundary: the frontier invariant holds right here (merge +
+        // refill done). The rest of the window stays un-merged — its jobs
+        // are in `inflight`, so the frontier re-executes them.
         if (post_merge()) {
           paused = true;
           break;
         }
       }
+    } catch (...) {
+      join_workers();
+      throw;
     }
-
-    // Shutdown (normal completion, stop condition, or worker failure):
-    // close the queues — workers finish what is already queued (at most
-    // one window across all of them) and exit; leftover completions are
-    // drained and discarded, leaving the merged result exactly at the
-    // stopping iteration.
-    for (auto& queue : job_queues) queue->close();
-    for (auto& t : threads) t.join();
-    std::uint32_t s = 0;
-    while (completed.pop(s)) {
-    }
-    if (worker_error) std::rethrow_exception(worker_error);
-  };
-
-  if (spec_.pipeline == PipelineMode::kBarrier || jobs == 1) {
-    run_barrier();
-  } else {
-    run_window();
+    join_workers();
   }
+  if (worker_error) std::rethrow_exception(worker_error);
 
   // Materialize PipelineStats as the registry delta over this run's
-  // baseline. Workers have quiesced by here (threads joined, parallel_for
-  // returned), so plain reads are race-free.
+  // baseline. Workers have quiesced by here (threads joined), so plain
+  // reads are race-free.
   pipeline_stats_ = pipeline_stats_view(obs_base, reg.snapshot(), jobs);
 
   const auto flush_trace = [&] {
@@ -921,9 +818,9 @@ CampaignResult Session::run() {
   // time, so the program is re-simulated once on the session simulator —
   // same config, same seed-free cold core, hence the identical trace —
   // and only the vulnerability window is written. Merge order pinned the
-  // pending list, so the file set is deterministic across jobs and
-  // executors. The scenario name prefixes the file so concurrent Sweep
-  // scenarios can share one vcd_out directory without colliding.
+  // pending list, so the file set is deterministic across jobs. The
+  // scenario name prefixes the file so concurrent Sweep scenarios can
+  // share one vcd_out directory without colliding.
   if (!pending_vcd.empty()) {
     const auto v0 = now();
     for (const PendingWaveform& pending : pending_vcd) {

@@ -23,7 +23,7 @@
 // API; only max_seconds is inherently wall-clock).
 //
 // run() may be called repeatedly; each call is a fresh campaign from the
-// same spec (simulators and the thread pool are built once and reused).
+// same spec (the workers and their simulators are built once and reused).
 //
 // Parallel campaign architecture
 // ------------------------------
@@ -40,18 +40,19 @@
 // completions strictly in iteration order, applying LP-coverage commits,
 // code-coverage merges, vulnerability deduplication, MST sampling and
 // corpus feedback — and refills the window after every merge, so no
-// worker ever waits on a batch barrier.
+// worker ever waits on a batch barrier. There is one executor: at
+// jobs == 1 it builds no thread and no queue, and the merge strand runs
+// each job inline, in iteration order, when it needs that job's result.
 //
 // Determinism contract (sliding-window feedback): job k is generated
 // from the merged campaign state through iteration k - batch_size (the
 // window width), so corpus updates earned at iteration j take effect at
 // iteration j + batch_size. That generation schedule is a pure function
-// of (rng_seed, batch_size) — independent of `jobs`, of worker timing,
-// and of which executor runs the window (the pipelined default or the
-// `pipeline = barrier` reference) — so a campaign with a fixed rng_seed
-// and batch_size produces a bit-identical CampaignResult regardless of
-// thread count; only wall-clock time changes. batch_size == 1 degenerates
-// to the classic serial generate → simulate → feed-back loop.
+// of (rng_seed, batch_size) — independent of `jobs` and of worker timing
+// — so a campaign with a fixed rng_seed and batch_size produces a
+// bit-identical CampaignResult regardless of thread count; only
+// wall-clock time changes. batch_size == 1 degenerates to the classic
+// serial generate → simulate → feed-back loop.
 #pragma once
 
 #include <atomic>
@@ -70,7 +71,6 @@
 #include "obs/trace.hpp"
 #include "sim/core.hpp"
 #include "triage/triage.hpp"
-#include "util/thread_pool.hpp"
 
 namespace specure::core {
 
@@ -222,7 +222,7 @@ class Session {
   /// fresh (durable-state resume, `specure run --resume`, the serve
   /// daemon's restart recovery). The frontier must come from a campaign
   /// with the same result-affecting spec fields; wall-clock-only fields
-  /// (jobs, pipeline, checkpoint, intervals, output paths) may differ —
+  /// (jobs, checkpoint, intervals, output paths) may differ —
   /// the result stays bit-identical either way.
   void resume_from(CampaignFrontier frontier);
 
@@ -298,10 +298,9 @@ class Session {
   CampaignSpec spec_;
   OfflineResult offline_;
   sim::Simulator sim_;
-  /// Worker pool, built lazily on the first run() and reused by later
+  /// Workers, built lazily on the first run() and reused by later
   /// campaigns (simulator construction is not free).
   std::vector<std::unique_ptr<CampaignWorker>> workers_;
-  std::unique_ptr<util::ThreadPool> pool_;
 
   std::vector<std::function<void(const ProgressEvent&)>> progress_observers_;
   std::vector<std::function<void(const CoverageEvent&)>> coverage_observers_;

@@ -424,7 +424,8 @@ CampaignState load_state_file(const std::string& path) {
 const std::vector<std::string>& result_neutral_keys() {
   // Every key here is documented (and tested) to never change a
   // CampaignResult — only wall-clock behaviour and side-output paths.
-  // `tier` is a deprecated no-op that old state files still carry.
+  // `pipeline` and `tier` are deprecated no-ops that old state files
+  // still carry.
   static const std::vector<std::string> keys = {
       "jobs",          "pipeline",        "tier",
       "checkpoint",    "checkpoint_cache_mb", "progress_interval",
@@ -459,7 +460,7 @@ core::CampaignSpec resume_spec(const CampaignState& state,
         "which would break the bit-identity contract —" +
         mismatches +
         "\nresume with a matching spec (wall-clock fields like jobs/"
-        "pipeline/vcd_out may differ), or restart without --resume");
+        "checkpoint/vcd_out may differ), or restart without --resume");
   }
 
   // Adopt the requested wall-clock fields onto the stored spec.

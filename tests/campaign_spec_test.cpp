@@ -231,17 +231,31 @@ TEST(CampaignSpecDeprecated, TierSpecKeyRoundTrip) {
   EXPECT_THROW(spec.set("tier", "warp"), SpecError);
 }
 
-TEST(CampaignSpecDeprecated, TierKeyIsAcceptedButNeverWrittenOrListed) {
-  // Old spec files carry the key; they still load, to the same campaign.
+TEST(CampaignSpecDeprecated, KeysAreAcceptedButNeverWrittenOrListed) {
+  // Old spec files carry `tier` (the removed fast tier) and `pipeline`
+  // (the removed executor choice); they still load, to the same campaign,
+  // with one note per key, and a junk value is still an error.
+  struct Case {
+    std::string key, value, junk;
+  };
   const CampaignSpec defaults;
-  const CampaignSpec old_file = CampaignSpec::from_toml_string(
-      "[campaign]\n"
-      "tier = \"fast\"\n");
-  EXPECT_EQ(old_file, defaults);
-  EXPECT_EQ(old_file.deprecation_notes.size(), 1u);
-  EXPECT_EQ(old_file.to_toml().find("tier"), std::string::npos);
-  const auto keys = CampaignSpec::keys();
-  EXPECT_EQ(std::find(keys.begin(), keys.end(), "tier"), keys.end());
+  for (const Case& c : {Case{"tier", "fast", "warp"},
+                        Case{"pipeline", "barrier", "turbo"}}) {
+    SCOPED_TRACE(c.key);
+    CampaignSpec old_file = CampaignSpec::from_toml_string(
+        "[campaign]\n" + c.key + " = \"" + c.value + "\"\n");
+    EXPECT_EQ(old_file, defaults);
+    ASSERT_EQ(old_file.deprecation_notes.size(), 1u);
+    EXPECT_NE(old_file.deprecation_notes[0].find("'" + c.key +
+                                                 "' is deprecated"),
+              std::string::npos);
+    EXPECT_EQ(old_file.to_toml().find(c.key), std::string::npos);
+    const auto keys = CampaignSpec::keys();
+    EXPECT_EQ(std::find(keys.begin(), keys.end(), c.key), keys.end());
+    old_file.set(c.key, c.value);
+    EXPECT_EQ(old_file.deprecation_notes.size(), 1u);  // one note per key
+    EXPECT_THROW(old_file.set(c.key, c.junk), SpecError);
+  }
 }
 
 TEST(CampaignSpecFields, KeysAreUniqueAndCoverEveryField) {

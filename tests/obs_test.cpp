@@ -255,13 +255,12 @@ TEST(ObsPrometheus, RendersFamiliesGroupedWithLabels) {
 
 // ---------------------------------------------------- result neutrality ----
 
-core::CampaignResult run_with(std::size_t jobs, core::PipelineMode pipeline,
-                              bool metrics, const std::string& trace_out) {
+core::CampaignResult run_with(std::size_t jobs, bool metrics,
+                              const std::string& trace_out) {
   core::CampaignSpec spec;
   spec.rng_seed = 5;
   spec.jobs = jobs;
   spec.budget.iterations = 60;
-  spec.pipeline = pipeline;
   spec.metrics = metrics;
   spec.trace_out = trace_out;
   core::Session session(spec);
@@ -288,41 +287,34 @@ void expect_identical(const core::CampaignResult& a,
 TEST(ObsNeutrality, ResultsIdenticalWithMetricsAndTracingOnOrOff) {
   const std::string trace_path = "obs_test_trace.json";
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    for (const core::PipelineMode mode :
-         {core::PipelineMode::kWindow, core::PipelineMode::kBarrier}) {
-      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                   " mode=" + (mode == core::PipelineMode::kWindow
-                                   ? std::string("window")
-                                   : std::string("barrier")));
-      const core::CampaignResult off = run_with(jobs, mode, false, "");
-      const core::CampaignResult on = run_with(jobs, mode, true, "");
-      const core::CampaignResult traced =
-          run_with(jobs, mode, true, trace_path);
-      expect_identical(off, on);
-      expect_identical(off, traced);
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const core::CampaignResult off = run_with(jobs, false, "");
+    const core::CampaignResult on = run_with(jobs, true, "");
+    const core::CampaignResult traced = run_with(jobs, true, trace_path);
+    expect_identical(off, on);
+    expect_identical(off, traced);
 
-      // The traced run left a loadable Chrome trace behind with the
-      // core span taxonomy in it.
-      std::ifstream in(trace_path, std::ios::binary);
-      ASSERT_TRUE(in.good());
-      std::stringstream buf;
-      buf << in.rdbuf();
-      const serve::Json doc = serve::parse_json(buf.str());
-      ASSERT_EQ(doc.kind, serve::Json::Kind::kObject);
-      const serve::Json* events = doc.find("traceEvents");
-      ASSERT_NE(events, nullptr);
-      bool saw_generate = false, saw_execute = false, saw_merge = false;
-      for (const serve::Json& e : events->items) {
-        const serve::Json* name = e.find("name");
-        if (name == nullptr) continue;
-        if (name->text == "generate") saw_generate = true;
-        if (name->text == "execute") saw_execute = true;
-        if (name->text == "merge") saw_merge = true;
-      }
-      EXPECT_TRUE(saw_generate);
-      EXPECT_TRUE(saw_execute);
-      EXPECT_TRUE(saw_merge);
+    // The traced run left a loadable Chrome trace behind with the
+    // core span taxonomy in it.
+    std::ifstream in(trace_path, std::ios::binary);
+    ASSERT_TRUE(in.good());
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const serve::Json doc = serve::parse_json(buf.str());
+    ASSERT_EQ(doc.kind, serve::Json::Kind::kObject);
+    const serve::Json* events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    bool saw_generate = false, saw_execute = false, saw_merge = false;
+    for (const serve::Json& e : events->items) {
+      const serve::Json* name = e.find("name");
+      if (name == nullptr) continue;
+      if (name->text == "generate") saw_generate = true;
+      if (name->text == "execute") saw_execute = true;
+      if (name->text == "merge") saw_merge = true;
     }
+    EXPECT_TRUE(saw_generate);
+    EXPECT_TRUE(saw_execute);
+    EXPECT_TRUE(saw_merge);
   }
   std::remove(trace_path.c_str());
 }
@@ -394,8 +386,7 @@ TEST(ObsNeutrality, InterruptedRunStillMaterializesStats) {
   // campaign to the exact uninterrupted result.
   session.finalize_interrupted();
   const core::CampaignResult rest = session.run();
-  const core::CampaignResult reference = run_with(
-      2, core::PipelineMode::kWindow, true, "");
+  const core::CampaignResult reference = run_with(2, true, "");
   (void)rest;
   EXPECT_EQ(rest.history.size(), 200u);
   (void)reference;

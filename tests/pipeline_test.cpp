@@ -1,18 +1,21 @@
-// Differential coverage for the pipelined sliding-window campaign
-// executor (core/session.cpp) and its lock-free plumbing (util/ring.hpp,
+// Differential coverage for the sliding-window campaign executor
+// (core/session.cpp) and its lock-free plumbing (util/ring.hpp,
 // util/atomic_bitset.hpp).
 //
-// The contract under test: `pipeline = window` (the default) and
-// `pipeline = barrier` (the batch-synchronous reference) implement the
-// same generation schedule — job k is generated from merged state through
-// iteration k - batch_size — so their CampaignResults are bit-identical
-// for every worker count, under adversarial worker timing, and across
-// mid-window stops.
+// The contract under test: job k is generated from merged state through
+// iteration k - batch_size, so the CampaignResult is a pure function of
+// (seed, batch_size). The jobs = 1 run — no threads, every job executed
+// inline on the merge strand in iteration order — is the reference; the
+// threaded runs must match it bit for bit for every worker count, under
+// adversarial worker timing, and across mid-window stops. An exception
+// thrown on the merge strand must reach the caller of Session::run() at
+// any worker count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -52,69 +55,61 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.pdlc_total, b.pdlc_total);
 }
 
-CampaignSpec make_spec(const std::string& preset, PipelineMode mode,
-                       std::size_t jobs, std::uint64_t iterations,
-                       std::uint64_t seed) {
+CampaignSpec make_spec(const std::string& preset, std::size_t jobs,
+                       std::uint64_t iterations, std::uint64_t seed) {
   CampaignSpec spec = CampaignSpec::preset(preset);
   spec.rng_seed = seed;
   spec.jobs = jobs;
   spec.batch_size = 16;
   spec.budget.iterations = iterations;
-  spec.pipeline = mode;
   spec.progress_interval = 0;
   return spec;
 }
 
-CampaignResult run_campaign(const std::string& preset, PipelineMode mode,
-                            std::size_t jobs, std::uint64_t iterations,
-                            std::uint64_t seed) {
-  Session session(make_spec(preset, mode, jobs, iterations, seed));
+CampaignResult run_campaign(const std::string& preset, std::size_t jobs,
+                            std::uint64_t iterations, std::uint64_t seed) {
+  Session session(make_spec(preset, jobs, iterations, seed));
   return session.run();
 }
 
-void expect_window_matches_barrier(const std::string& preset,
-                                   std::uint64_t iterations,
-                                   std::uint64_t seed) {
-  const CampaignResult barrier =
-      run_campaign(preset, PipelineMode::kBarrier, 4, iterations, seed);
-  for (const std::size_t jobs : {1u, 2u, 4u}) {
-    const CampaignResult window =
-        run_campaign(preset, PipelineMode::kWindow, jobs, iterations, seed);
+/// Runs the inline jobs = 1 reference, checks jobs 2 and 4 against it,
+/// and returns the reference.
+CampaignResult expect_threaded_matches_inline(const std::string& preset,
+                                              std::uint64_t iterations,
+                                              std::uint64_t seed) {
+  const CampaignResult inline_run = run_campaign(preset, 1, iterations, seed);
+  for (const std::size_t jobs : {2u, 4u}) {
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
-    expect_identical(barrier, window);
+    expect_identical(inline_run,
+                     run_campaign(preset, jobs, iterations, seed));
   }
+  return inline_run;
 }
 
-TEST(Pipeline, WindowMatchesBarrierDefaultSeed7) {
-  expect_window_matches_barrier("default", 120, 7);
+TEST(Pipeline, ThreadedMatchesInlineDefaultSeed7) {
+  expect_threaded_matches_inline("default", 120, 7);
 }
 
-TEST(Pipeline, WindowMatchesBarrierDefaultSeed9) {
-  expect_window_matches_barrier("default", 120, 9);
+TEST(Pipeline, ThreadedMatchesInlineDefaultSeed9) {
+  expect_threaded_matches_inline("default", 120, 9);
 }
 
-TEST(Pipeline, WindowMatchesBarrierFullSeed7) {
-  expect_window_matches_barrier("full", 80, 7);
+TEST(Pipeline, ThreadedMatchesInlineFullSeed7) {
+  expect_threaded_matches_inline("full", 80, 7);
 }
 
-TEST(Pipeline, WindowMatchesBarrierFullSeed9) {
+TEST(Pipeline, ThreadedMatchesInlineFullSeed9) {
   // The full preset reliably produces findings at this seed, so the
   // comparison covers the detector/dedup/VCD-pending path end to end.
-  const CampaignResult barrier =
-      run_campaign("full", PipelineMode::kBarrier, 4, 80, 9);
-  EXPECT_FALSE(barrier.vulns.empty());
-  const CampaignResult window =
-      run_campaign("full", PipelineMode::kWindow, 4, 80, 9);
-  expect_identical(barrier, window);
+  EXPECT_FALSE(expect_threaded_matches_inline("full", 80, 9).vulns.empty());
 }
 
 TEST(Pipeline, InOrderMergeUnderAdversarialWorkerDelays) {
   // Per-job pseudo-random delays force completions back into the merger
   // far out of iteration order; the reorder window must still merge in
-  // strict iteration order and reproduce the undelayed reference.
-  const CampaignResult reference =
-      run_campaign("default", PipelineMode::kBarrier, 4, 80, 7);
-  Session delayed(make_spec("default", PipelineMode::kWindow, 4, 80, 7));
+  // strict iteration order and reproduce the undelayed inline reference.
+  const CampaignResult reference = run_campaign("default", 1, 80, 7);
+  Session delayed(make_spec("default", 4, 80, 7));
   delayed.set_test_job_delay([](const fuzz::FuzzJob& job, std::size_t) {
     const std::uint64_t h = job.iteration * 2654435761u;
     std::this_thread::sleep_for(
@@ -123,34 +118,47 @@ TEST(Pipeline, InOrderMergeUnderAdversarialWorkerDelays) {
   expect_identical(reference, delayed.run());
 }
 
-TEST(Pipeline, StopConditionMidWindowIsConsistentAcrossModes) {
+TEST(Pipeline, StopConditionMidWindowIsConsistentAcrossJobs) {
   // A stop that fires mid-window (7 merges into a 16-wide window) must
-  // leave both executors at exactly the same campaign state.
-  const auto run_stopped = [](PipelineMode mode) {
-    Session session(make_spec("default", mode, 4, 200, 7));
+  // leave every worker count at exactly the same campaign state.
+  const auto run_stopped = [](std::size_t jobs) {
+    Session session(make_spec("default", jobs, 200, 7));
     session.add_stop([](const CampaignResult& r) {
       return r.history.size() >= 7;
     });
     return session.run();
   };
-  const CampaignResult barrier = run_stopped(PipelineMode::kBarrier);
-  const CampaignResult window = run_stopped(PipelineMode::kWindow);
-  EXPECT_EQ(barrier.history.size(), 7u);
-  expect_identical(barrier, window);
+  const CampaignResult inline_run = run_stopped(1);
+  EXPECT_EQ(inline_run.history.size(), 7u);
+  for (const std::size_t jobs : {2u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    expect_identical(inline_run, run_stopped(jobs));
+  }
 }
 
-TEST(Pipeline, SpecKeyRoundTripsAndRejectsJunk) {
-  CampaignSpec spec;
-  EXPECT_EQ(spec.pipeline, PipelineMode::kWindow);  // the default
-  spec.set("pipeline", "barrier");
-  EXPECT_EQ(spec.pipeline, PipelineMode::kBarrier);
-  const CampaignSpec reloaded = CampaignSpec::from_toml_string(spec.to_toml());
-  EXPECT_EQ(reloaded.pipeline, PipelineMode::kBarrier);
-  EXPECT_THROW(spec.set("pipeline", "turbo"), SpecError);
+TEST(Pipeline, MergeStrandExceptionReachesCaller) {
+  // Observers and stop conditions run on the merge strand while workers
+  // are mid-window; a throw there must shut the workers down and surface
+  // from run() — never terminate the process.
+  for (const std::size_t jobs : {1u, 2u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    Session observed(make_spec("default", jobs, 200, 7));
+    observed.on_batch_merged([](const BatchEvent& e) {
+      if (e.batch_index == 2) throw std::runtime_error("observer failed");
+    });
+    EXPECT_THROW(observed.run(), std::runtime_error);
+
+    Session stopped(make_spec("default", jobs, 200, 7));
+    stopped.add_stop([](const CampaignResult& r) -> bool {
+      if (r.history.size() == 20) throw std::invalid_argument("stop failed");
+      return false;
+    });
+    EXPECT_THROW(stopped.run(), std::invalid_argument);
+  }
 }
 
 TEST(Pipeline, PipelineStatsCoverEveryJob) {
-  Session session(make_spec("default", PipelineMode::kWindow, 2, 48, 7));
+  Session session(make_spec("default", 2, 48, 7));
   session.run();
   const PipelineStats& stats = session.pipeline_stats();
   ASSERT_EQ(stats.workers.size(), 2u);

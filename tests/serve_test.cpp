@@ -190,10 +190,11 @@ std::string with_campaign_line(const std::string& bytes,
   return out.take();
 }
 
-TEST(CampaignState, DeprecatedTierKeyInStateResumesBitIdentically) {
-  // State files written while the fast tier existed embed `tier = ...`;
-  // the key is now a no-op, and such a file must still decode and
-  // resume to the uninterrupted result.
+TEST(CampaignState, DeprecatedKeysInStateResumeBitIdentically) {
+  // State files written by older builds embed `tier = ...` (the removed
+  // fast tier) and `pipeline = ...` (the removed executor choice); both
+  // keys are now no-ops, and such a file must still decode and resume to
+  // the uninterrupted result.
   const core::CampaignSpec spec = small_spec("full", 20, 9, 2);
   core::Session uninterrupted(spec);
   std::vector<std::string> states;
@@ -203,10 +204,12 @@ TEST(CampaignState, DeprecatedTierKeyInStateResumesBitIdentically) {
   const std::string expected = normalized_report(uninterrupted.run());
   ASSERT_FALSE(states.empty());
 
-  for (const char* tier : {"fast", "detailed"}) {
-    SCOPED_TRACE(tier);
-    const std::string old_bytes = with_campaign_line(
-        states[states.size() / 2], std::string("tier = \"") + tier + "\"");
+  for (const char* line : {"tier = \"fast\"", "tier = \"detailed\"",
+                           "pipeline = \"window\"",
+                           "pipeline = \"barrier\""}) {
+    SCOPED_TRACE(line);
+    const std::string old_bytes =
+        with_campaign_line(states[states.size() / 2], line);
     CampaignState state = decode_state(old_bytes, "test");
     EXPECT_EQ(state.spec, spec);
     EXPECT_EQ(state.spec.deprecation_notes.size(), 1u);
