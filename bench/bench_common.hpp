@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -57,6 +58,9 @@ inline std::size_t peak_rss_kib() {
 ///     ...
 ///     json.metric("delta_bytes_per_cycle", bytes_per_cycle);
 ///   }  // writes OUT/BENCH_trace.json
+///
+/// Every file also carries build_type() and nproc (hardware threads), so
+/// numbers from different builds or hosts are not compared blindly.
 class BenchJson {
  public:
   BenchJson(int argc, char** argv, std::string name)
@@ -94,7 +98,8 @@ class BenchJson {
       return path_;
     }
     out << "{\n  \"bench\": \"" << name_ << "\",\n  \"build_type\": \""
-        << build_type() << "\",\n  \"metrics\": {";
+        << build_type() << "\",\n  \"nproc\": "
+        << std::thread::hardware_concurrency() << ",\n  \"metrics\": {";
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
       out << (i == 0 ? "" : ",") << "\n    \"" << metrics_[i].first
           << "\": " << metrics_[i].second;

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/mst.hpp"
@@ -77,7 +78,10 @@ class LpCoverageMap {
   /// universe — i.e. a map built from the same offline result and policy.
   void restore_covered(const std::vector<bool>& mask) {
     if (mask.size() != covered_.size()) {
-      throw std::logic_error("LP coverage restore: channel count mismatch");
+      throw std::logic_error("LP coverage restore: mask has " +
+                             std::to_string(mask.size()) +
+                             " channels, the map has " +
+                             std::to_string(covered_.size()));
     }
     covered_ = mask;
     covered_count_ = 0;

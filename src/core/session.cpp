@@ -142,6 +142,25 @@ Session& Session::add_stop(StopCondition fn) {
 }
 
 void Session::resume_from(CampaignFrontier frontier) {
+  const std::string where =
+      frontier.origin.empty() ? std::string("campaign frontier")
+                              : "campaign state '" + frontier.origin + "'";
+  const std::string fix =
+      " — resume it with the build and spec that wrote it, or restart the "
+      "campaign without --resume";
+  if (frontier.lp_covered.size() != offline_.pdlc.size()) {
+    throw std::runtime_error(
+        where + " has an LP coverage mask over " +
+        std::to_string(frontier.lp_covered.size()) +
+        " channels, but this campaign's offline phase extracted " +
+        std::to_string(offline_.pdlc.size()) + fix);
+  }
+  try {
+    sim::CoverageRecorder().restore(frontier.coverage_points, 0);
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(where + " has an " + e.what() +
+                             ", which this build does not instrument" + fix);
+  }
   resume_ = std::make_unique<CampaignFrontier>(std::move(frontier));
   paused_ = false;
 }
@@ -486,9 +505,7 @@ CampaignResult Session::run() {
     f.result = merger.result();
     f.result.seconds = elapsed();
     f.lp_covered = merger.lp_covered_mask();
-    const auto& points = merger.code_coverage().points();
-    f.coverage_points.assign(points.begin(), points.end());
-    std::sort(f.coverage_points.begin(), f.coverage_points.end());
+    f.coverage_points = merger.code_coverage().points();
     f.toggle_bits = merger.code_coverage().toggle_bits();
     f.last_gain_iteration = last_gain_iteration;
     f.last_progress = last_progress;

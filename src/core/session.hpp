@@ -150,6 +150,9 @@ struct CampaignFrontier {
   std::uint64_t merges_since_event = 0;
   std::vector<PendingWaveform> pending_vcd;
   double prior_seconds = 0;  ///< wall-clock accumulated across segments
+  /// Where the frontier was loaded from (the state file), named in
+  /// resume errors; empty for in-process frontiers. Never serialized.
+  std::string origin;
 };
 
 /// Wall-clock telemetry of one simulation worker in the campaign
@@ -223,7 +226,10 @@ class Session {
   /// daemon's restart recovery). The frontier must come from a campaign
   /// with the same result-affecting spec fields; wall-clock-only fields
   /// (jobs, checkpoint, intervals, output paths) may differ —
-  /// the result stays bit-identical either way.
+  /// the result stays bit-identical either way. Throws std::runtime_error,
+  /// naming frontier.origin, when the frontier's coverage does not fit
+  /// this campaign: an LP mask of another channel count, or a code-
+  /// coverage point outside sim::CoverageRecorder's universe.
   void resume_from(CampaignFrontier frontier);
 
   /// Ask the running campaign to pause at the next merge boundary

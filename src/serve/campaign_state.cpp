@@ -376,6 +376,7 @@ CampaignState decode_state(std::string_view bytes, const std::string& origin) {
   const std::string spec_toml = r.str("embedded spec");
   state.spec = core::CampaignSpec::from_toml_string(spec_toml);
   state.frontier = read_frontier(r);
+  state.frontier.origin = origin;
   if (!r.at_end()) {
     throw StateError("campaign state '" + origin + "' has " +
                      std::to_string(r.remaining()) +

@@ -21,7 +21,7 @@ void RunResult::reset() {
 }
 
 std::size_t Checkpoint::memory_bytes() const {
-  return state.memory_bytes() + coverage.memory_bytes() + sizeof(Checkpoint);
+  return state.memory_bytes() + sizeof(Checkpoint);
 }
 
 Simulator::Simulator(CoreConfig cfg) : cfg_(cfg) {

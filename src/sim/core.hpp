@@ -95,7 +95,7 @@ struct Checkpoint {
   std::uint64_t fetch_watermark = 0;
   std::size_t commit_count = 0;  ///< prefix length into the parent commits
   std::uint64_t instructions_committed = 0;
-  CoverageRecorder coverage;  ///< copied at save (not prefix-recoverable)
+  CoverageRecorder coverage;  ///< copied at save (two words, no heap)
 
   std::size_t memory_bytes() const;
 };

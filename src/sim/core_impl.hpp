@@ -423,7 +423,7 @@ class Core {
       dcache_.store(e.mem_addr, e.mem_size, e.store_value);
       rec.is_store = true;
       rec.store_addr = e.mem_addr;
-      res.coverage.branch("lsu.store_mapped",
+      res.coverage.branch(CovSite::kLsuStoreMapped,
                           mem_.data_mapped(e.mem_addr, e.mem_size));
     }
     if (e.writes_csr) {
@@ -476,7 +476,7 @@ class Core {
     if (e.unsafe) --unsafe_count_;
     brupdate_valid_ = true;
     e.mispredicted = e.actual_next != e.pred_next;
-    res.coverage.branch("rob.resolve_mispredict", e.mispredicted);
+    res.coverage.branch(CovSite::kRobResolveMispredict, e.mispredicted);
 
     // Train the predictor with the true outcome (wrong-path training of
     // other branches already happened — and persists: the v2 surface).
@@ -498,7 +498,7 @@ class Core {
     brupdate_mispredict_ = true;
     const bool suppress = cfg_.vuln.zenbleed_emulation &&
                           csr_.read(csr::kZenbleedEn) != 0;
-    res.coverage.condition("rename.rollback_suppressed", suppress);
+    res.coverage.condition(CovSite::kRenameRollbackSuppressed, suppress);
     squash_younger(e.seq, suppress);
     rename_.rollback(entry_slot(e), suppress);
     fetch_pc_ = e.actual_next;
@@ -529,7 +529,7 @@ class Core {
     if (halted_ || rob_full() || fetch_stalled_) return;
     const std::uint32_t word = fetch_word(fetch_pc_);
     const DecodedInst& dec = decode_at(fetch_pc_, word);
-    res.coverage.branch("decode.valid", dec.valid());
+    res.coverage.branch(CovSite::kDecodeValid, dec.valid());
 
     if (!dec.valid()) {
       // Illegal instruction: occupies a slot; committing one halts the
@@ -660,7 +660,7 @@ class Core {
     const std::uint64_t va = base + static_cast<std::uint64_t>(e.dec.imm);
     std::uint64_t pa = va;
     const bool tlb_hit = tlb_.translate(va, pa);
-    res.coverage.branch("tlb.hit", tlb_hit);
+    res.coverage.branch(CovSite::kTlbHit, tlb_hit);
     lsu_addr_ = pa;
     e.mem_addr = pa;
     e.mem_size = riscv::access_size(e.dec.op);
@@ -669,8 +669,8 @@ class Core {
     // caused here persist even if this load is squashed.
     std::uint64_t raw = 0;
     const bool hit = dcache_.load(pa, e.mem_size, raw);
-    res.coverage.branch("dcache.hit", hit);
-    res.coverage.fsm("dcache.state", hit ? 0 : 1);
+    res.coverage.branch(CovSite::kDcacheHit, hit);
+    res.coverage.fsm(CovSite::kDcacheState, hit ? 0 : 1);
     lsu_load_data_ = raw;
     e.result = extend_load(e.dec.op, raw);
     // Taint: speculatively loaded data, or data reached through a tainted
@@ -678,7 +678,7 @@ class Core {
     e.result_tainted = in_window;
     if (addr_taint && in_window) {
       tainted_access_ = true;
-      res.coverage.condition("lsu.tainted_spec_access", true);
+      res.coverage.condition(CovSite::kLsuTaintedSpecAccess, true);
     }
     e.ready_cycle =
         cycle_ + (hit ? cfg_.load_hit_latency : cfg_.load_miss_latency);
@@ -690,7 +690,7 @@ class Core {
     const std::uint64_t va = base + static_cast<std::uint64_t>(e.dec.imm);
     std::uint64_t pa = va;
     const bool tlb_hit = tlb_.translate(va, pa);
-    res.coverage.branch("tlb.hit", tlb_hit);
+    res.coverage.branch(CovSite::kTlbHit, tlb_hit);
     lsu_addr_ = pa;
     e.is_store = true;
     e.mem_addr = pa;
@@ -703,7 +703,7 @@ class Core {
   void issue_branch(RobEntry& e, std::uint64_t a, std::uint64_t b,
                     RunResult& res) {
     const Prediction pred = bp_.predict_branch(e.pc);
-    res.coverage.branch("bp.pred_taken", pred.taken);
+    res.coverage.branch(CovSite::kBpPredTaken, pred.taken);
     const std::uint64_t taken_target =
         e.pc + static_cast<std::uint64_t>(e.dec.imm);
     e.is_ctrl = true;
@@ -752,7 +752,8 @@ class Core {
   void issue_csr(RobEntry& e, std::uint64_t rs1_value, RunResult& res) {
     allocate_rd(e);
     const std::uint64_t old = csr_.read(e.dec.csr);
-    res.coverage.condition("csr.implemented", csr_.implemented(e.dec.csr));
+    res.coverage.condition(CovSite::kCsrImplemented,
+                           csr_.implemented(e.dec.csr));
     e.result = old;
     const std::uint64_t operand =
         riscv::format_of(e.dec.op) == riscv::Format::kCsrImm

@@ -1,40 +1,50 @@
 #include "sim/coverage.hpp"
 
+#include <algorithm>
+#include <array>
+#include <stdexcept>
+
 namespace specure::sim {
 
-void CoverageRecorder::branch(std::string_view site, bool taken) {
-  points_.insert("b:" + std::string(site) + (taken ? ":t" : ":n"));
+const std::string& CoverageRecorder::point_name(std::size_t p) {
+  static const std::array<std::string, kPoints> names = [] {
+    std::array<std::string, kPoints> out;
+    for (std::size_t i = 0; i < kPoints; ++i) {
+      const CovSiteDef& site = kCovSites[i / 2];
+      const bool outcome = i % 2 != 0;
+      out[i] = std::string{site.kind} + ":" + std::string(site.name) + ":" +
+               (site.kind == 'b' ? (outcome ? "t" : "n")
+                                 : (outcome ? "1" : "0"));
+    }
+    return out;
+  }();
+  return names[p];
 }
 
-void CoverageRecorder::fsm(std::string_view machine, std::uint32_t state) {
-  points_.insert("f:" + std::string(machine) + ":" + std::to_string(state));
-}
-
-void CoverageRecorder::condition(std::string_view site, bool value) {
-  points_.insert("c:" + std::string(site) + (value ? ":1" : ":0"));
-}
-
-std::size_t CoverageRecorder::merge(const CoverageRecorder& other) {
-  std::size_t fresh = 0;
-  for (const auto& p : other.points_) {
-    fresh += points_.insert(p).second;
+std::vector<std::string> CoverageRecorder::points() const {
+  std::vector<std::string> out;
+  out.reserve(point_count());
+  for (std::size_t p = 0; p < kPoints; ++p) {
+    if ((bits_ >> p) & 1) out.push_back(point_name(p));
   }
-  toggle_bits_ += other.toggle_bits_;
-  return fresh;
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
-std::size_t CoverageRecorder::memory_bytes() const {
-  std::size_t bytes = sizeof(CoverageRecorder);
-  for (const auto& p : points_) {
-    // Node + hash-bucket overhead is a rough 32 bytes per entry.
-    bytes += p.capacity() + 32;
+void CoverageRecorder::restore(const std::vector<std::string>& points,
+                               std::uint64_t toggle_bits) {
+  std::uint64_t bits = 0;
+  for (const std::string& name : points) {
+    std::size_t p = 0;
+    while (p < kPoints && point_name(p) != name) ++p;
+    if (p == kPoints) {
+      throw std::invalid_argument("unknown code-coverage point '" + name +
+                                  "'");
+    }
+    bits |= std::uint64_t{1} << p;
   }
-  return bytes;
-}
-
-void CoverageRecorder::clear() {
-  points_.clear();
-  toggle_bits_ = 0;
+  bits_ = bits;
+  toggle_bits_ = toggle_bits;
 }
 
 }  // namespace specure::sim

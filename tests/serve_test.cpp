@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -312,6 +313,63 @@ TEST_F(StateRejection, ResultAffectingSpecChangeIsListed) {
   EXPECT_NO_THROW(resume_spec(state, neutral));
   const std::vector<std::string>& keys = result_neutral_keys();
   EXPECT_NE(std::find(keys.begin(), keys.end(), "jobs"), keys.end());
+}
+
+/// A checksum-valid state whose frontier does not fit this campaign: the
+/// frontier is edited and re-encoded (fresh length and checksum), so only
+/// the resume-time checks can catch it. Both messages name the file.
+TEST(StateRejectionAtResume, UnfittingCoverageIsRefusedNamingTheFile) {
+  const core::CampaignSpec spec = small_spec("codecov", 20, 3, 1);
+  core::Session session(spec);
+  std::vector<std::string> states;
+  session.on_frontier([&](const core::CampaignFrontier& f) {
+    if (!f.completed) states.push_back(encode_state(spec, f));
+  });
+  session.run();
+  ASSERT_FALSE(states.empty());
+  const std::string mid = states[states.size() / 2];
+  const std::string path = ::testing::TempDir() + "serve_resume_reject.state";
+
+  const auto resume_error =
+      [&](const std::function<void(core::CampaignFrontier&)>& edit) {
+        CampaignState edited = decode_state(mid, "test");
+        edit(edited.frontier);
+        write_file(path, encode_state(edited.spec, edited.frontier));
+        CampaignState state = load_state_file(path);
+        core::Session resumed(resume_spec(state, state.spec));
+        try {
+          resumed.resume_from(std::move(state.frontier));
+        } catch (const std::runtime_error& e) {
+          return std::string(e.what());
+        }
+        ADD_FAILURE() << "resume_from accepted an unfitting frontier";
+        return std::string();
+      };
+
+  const std::string bogus = resume_error([](core::CampaignFrontier& f) {
+    f.coverage_points.push_back("b:bogus.site:t");
+  });
+  EXPECT_NE(bogus.find("'b:bogus.site:t'"), std::string::npos) << bogus;
+  EXPECT_NE(bogus.find(path), std::string::npos) << bogus;
+
+  std::size_t channels = 0;
+  const std::string lp = resume_error([&](core::CampaignFrontier& f) {
+    channels = f.lp_covered.size();
+    f.lp_covered.push_back(false);
+  });
+  EXPECT_NE(lp.find(" " + std::to_string(channels + 1) + " channels"),
+            std::string::npos)
+      << lp;
+  EXPECT_NE(lp.find("extracted " + std::to_string(channels)),
+            std::string::npos)
+      << lp;
+  EXPECT_NE(lp.find(path), std::string::npos) << lp;
+
+  // The unedited state still resumes: only the edits are refused.
+  write_file(path, mid);
+  CampaignState state = load_state_file(path);
+  core::Session resumed(resume_spec(state, state.spec));
+  EXPECT_NO_THROW(resumed.resume_from(std::move(state.frontier)));
 }
 
 // ---- wire protocol --------------------------------------------------------

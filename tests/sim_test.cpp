@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "riscv/program.hpp"
 #include "rtl/parser.hpp"
@@ -441,6 +443,132 @@ TEST(Sim, CoverageAccumulates) {
   const RunResult res = sim.run(riscv::random_program(rng, 60));
   EXPECT_GT(res.coverage.point_count(), 0u);
   EXPECT_GT(res.coverage.toggle_bits(), 0u);
+}
+
+// ---- code coverage ---------------------------------------------------------
+
+/// Name of point (site, outcome), spelled out independently of the
+/// recorder's own table.
+std::string coverage_point(CovSite site, bool outcome) {
+  const CovSiteDef& def = kCovSites[static_cast<std::size_t>(site)];
+  return std::string{def.kind} + ":" + std::string(def.name) + ":" +
+         (def.kind == 'b' ? (outcome ? "t" : "n") : (outcome ? "1" : "0"));
+}
+
+/// A recorder hit at random sites through the recording API, plus the set
+/// of point names it must hold.
+CoverageRecorder random_coverage(util::Rng& rng, std::set<std::string>& names) {
+  CoverageRecorder rec;
+  const std::uint64_t hits = rng.below(14);
+  for (std::uint64_t i = 0; i < hits; ++i) {
+    const auto site = static_cast<CovSite>(
+        rng.below(static_cast<std::uint64_t>(CovSite::kCount)));
+    const bool outcome = rng.below(2) != 0;
+    switch (kCovSites[static_cast<std::size_t>(site)].kind) {
+      case 'b': rec.branch(site, outcome); break;
+      case 'f': rec.fsm(site, outcome ? 1 : 0); break;
+      default: rec.condition(site, outcome); break;
+    }
+    names.insert(coverage_point(site, outcome));
+  }
+  rec.toggles(rng.below(1000));
+  return rec;
+}
+
+TEST(Coverage, PointUniverseIsPinned) {
+  // State files store these names. Renaming a site would orphan every
+  // saved campaign's coverage, so the universe is spelled out literally.
+  const std::vector<std::string> universe = {
+      "b:bp.pred_taken:n",          "b:bp.pred_taken:t",
+      "b:dcache.hit:n",             "b:dcache.hit:t",
+      "b:decode.valid:n",           "b:decode.valid:t",
+      "b:lsu.store_mapped:n",       "b:lsu.store_mapped:t",
+      "b:rob.resolve_mispredict:n", "b:rob.resolve_mispredict:t",
+      "b:tlb.hit:n",                "b:tlb.hit:t",
+      "c:csr.implemented:0",        "c:csr.implemented:1",
+      "c:lsu.tainted_spec_access:0", "c:lsu.tainted_spec_access:1",
+      "c:rename.rollback_suppressed:0", "c:rename.rollback_suppressed:1",
+      "f:dcache.state:0",           "f:dcache.state:1",
+  };
+  std::vector<std::string> names;
+  for (std::size_t p = 0; p < CoverageRecorder::kPoints; ++p) {
+    names.push_back(CoverageRecorder::point_name(p));
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, universe);
+
+  CoverageRecorder all;
+  all.restore(universe, 7);
+  EXPECT_EQ(all.points(), universe);
+  EXPECT_EQ(all.point_count(), universe.size());
+  EXPECT_EQ(all.toggle_bits(), 7u);
+}
+
+TEST(Coverage, RestoreRoundTripsAndRejectsUnknownPoints) {
+  util::Rng rng(11);
+  for (int i = 0; i < 50; ++i) {
+    std::set<std::string> names;
+    const CoverageRecorder rec = random_coverage(rng, names);
+    EXPECT_EQ(rec.points(),
+              std::vector<std::string>(names.begin(), names.end()));
+    CoverageRecorder back;
+    back.restore(rec.points(), rec.toggle_bits());
+    EXPECT_EQ(back.points(), rec.points());
+    EXPECT_EQ(back.point_count(), rec.point_count());
+    EXPECT_EQ(back.toggle_bits(), rec.toggle_bits());
+  }
+  CoverageRecorder rec;
+  try {
+    rec.restore({"b:tlb.hit:t", "b:tlb.hit:x"}, 0);
+    FAIL() << "restore accepted a point outside the universe";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'b:tlb.hit:x'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Coverage, MergeCountsNewPointsLikeSetDifference) {
+  util::Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    std::set<std::string> a_names, b_names;
+    CoverageRecorder a = random_coverage(rng, a_names);
+    const CoverageRecorder b = random_coverage(rng, b_names);
+    std::size_t fresh = 0;
+    for (const std::string& p : b_names) fresh += a_names.count(p) == 0;
+    const std::uint64_t toggles = a.toggle_bits() + b.toggle_bits();
+
+    EXPECT_EQ(a.merge(b), fresh);
+    a_names.insert(b_names.begin(), b_names.end());
+    EXPECT_EQ(a.points(),
+              std::vector<std::string>(a_names.begin(), a_names.end()));
+    EXPECT_EQ(a.toggle_bits(), toggles);
+    EXPECT_EQ(a.merge(b), 0u) << "a second merge adds nothing";
+  }
+}
+
+TEST(Coverage, RunFromMatchesColdRunAtEveryCheckpointAcrossConfigs) {
+  for (const char* preset : {"default", "full", "zenbleed", "mwait"}) {
+    SCOPED_TRACE(preset);
+    CoreConfig cfg;
+    ASSERT_TRUE(lookup_core_preset(preset, cfg));
+    const Simulator sim(cfg);
+    util::Rng rng(99);
+    std::size_t resumes = 0;
+    for (int i = 0; i < 6; ++i) {
+      const Program p = riscv::random_program(rng, 16 + rng.below(100));
+      RunResult cold(&sim.signal_db());
+      std::vector<Checkpoint> checkpoints;
+      sim.run(p, CheckpointOptions{}, checkpoints, cold);
+      for (const Checkpoint& cp : checkpoints) {
+        RunResult resumed(&sim.signal_db());
+        sim.run_from(cp, cold.trace, cold.commits, p, resumed);
+        EXPECT_EQ(resumed.coverage.points(), cold.coverage.points());
+        EXPECT_EQ(resumed.coverage.toggle_bits(), cold.coverage.toggle_bits());
+        ++resumes;
+      }
+    }
+    EXPECT_GT(resumes, 10u);
+  }
 }
 
 TEST(Sim, CommitLogMatchesCommittedCount) {
