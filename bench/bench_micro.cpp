@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
-#include "core/campaign_worker.hpp"
 #include "core/coverage_calc.hpp"
 #include "core/mst.hpp"
 #include "core/offline.hpp"
@@ -37,32 +36,6 @@ void BM_SimulatorRun(benchmark::State& state) {
       static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimulatorRun)->Arg(32)->Arg(128)->Arg(256);
-
-// The path every cold campaign job takes with checkpoint=on: one reused
-// RunResult, checkpoints emitted at the worker's default cadence (each
-// save copies the core state and the code-coverage accumulator).
-void BM_SimulatorRunCheckpointed(benchmark::State& state) {
-  util::Rng rng(1);
-  const auto program =
-      riscv::random_program(rng, static_cast<std::size_t>(state.range(0)));
-  const sim::Simulator& sim = shared_simulator();
-  const core::WorkerCheckpointOptions options;
-  sim::RunResult run(&sim.signal_db());
-  std::vector<sim::Checkpoint> checkpoints;
-  std::uint64_t cycles = 0;
-  std::size_t saved = 0;
-  for (auto _ : state) {
-    sim.run(program, options.cadence, checkpoints, run);
-    cycles += run.cycles;
-    saved += checkpoints.size();
-    benchmark::DoNotOptimize(run.trace.size());
-  }
-  state.counters["cycles/s"] = benchmark::Counter(
-      static_cast<double>(cycles), benchmark::Counter::kIsRate);
-  state.counters["checkpoints/run"] =
-      static_cast<double>(saved) / static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_SimulatorRunCheckpointed)->Arg(32)->Arg(128)->Arg(256);
 
 void BM_SnapshotDiff(benchmark::State& state) {
   util::Rng rng(2);

@@ -27,16 +27,6 @@ bool CampaignScheduler::next_job(fuzz::FuzzJob& out) {
   return true;
 }
 
-std::size_t CampaignScheduler::worker_for(const fuzz::FuzzJob& job,
-                                          std::size_t workers) {
-  if (workers <= 1) return 0;
-  if (job.has_parent) {
-    return static_cast<std::size_t>(job.parent_hash % workers);
-  }
-  // Parentless jobs (seeds, randoms) spread round-robin by iteration.
-  return static_cast<std::size_t>(job.iteration % workers);
-}
-
 void CampaignScheduler::feedback(const riscv::Program& program,
                                  std::uint64_t iteration) {
   fuzzer_.report_interesting(program, iteration);

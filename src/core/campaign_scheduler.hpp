@@ -37,15 +37,6 @@ class CampaignScheduler {
   /// drawn after this call.
   void feedback(const riscv::Program& program, std::uint64_t iteration);
 
-  /// Parent-affinity routing: the worker index that should simulate
-  /// `job`. All children of one corpus parent land on the same worker —
-  /// the one holding that parent's checkpoint set — so the per-worker
-  /// checkpoint caches see every reuse opportunity. Deterministic in the
-  /// job's content alone, so routing never affects campaign results,
-  /// only which worker pays which cost.
-  static std::size_t worker_for(const fuzz::FuzzJob& job,
-                                std::size_t workers);
-
   std::uint64_t issued() const { return issued_; }
   /// True once the campaign's iteration budget is fully issued.
   bool exhausted() const { return issued_ >= total_iterations_; }

@@ -144,11 +144,10 @@ const std::vector<KeyDef>& key_table() {
       SPEC_BOOL("mwait", "core", core.vuln.mwait_emulation),
       SPEC_BOOL("zenbleed", "core", core.vuln.zenbleed_emulation),
       // Debug/differential switch: record the dense reference trace next
-      // to the delta trace. Workers drop to the cold detailed path
-      // (checkpoint cache bypassed), so campaign results must be
-      // identical with it on or off — CI's capture-differential smoke
-      // diffs the two reports. Deliberately NOT result-neutral for
-      // serve's dedup key: a dense run is a different execution plan.
+      // to the delta trace. Campaign results must be identical with it
+      // on or off — CI's capture-differential smoke diffs the two
+      // reports. Deliberately NOT result-neutral for serve's dedup key:
+      // a dense run is a different execution plan.
       SPEC_BOOL("dense_trace", "core", core.record_dense_trace),
       // -- fuzzer ----------------------------------------------------------
       SPEC_BOOL("special_seeds", "fuzzer", fuzzer.use_special_seeds),
@@ -227,8 +226,19 @@ const std::vector<KeyDef>& key_table() {
              },
              "spec key 'tier' is deprecated and ignored: the fast-functional "
              "tier was removed, every job runs on the detailed core"},
-      SPEC_BOOL("checkpoint", "campaign", checkpoint),
-      SPEC_SIZE("checkpoint_cache_mb", "campaign", checkpoint_cache_mb),
+      KeyDef{"checkpoint", "campaign", false, nullptr,
+             [](CampaignSpec& s, const std::string& v) {
+               s.checkpoint = parse_bool("checkpoint", v);
+             },
+             "spec key 'checkpoint' is deprecated and ignored: the "
+             "checkpoint cache was removed, every job runs cold"},
+      KeyDef{"checkpoint_cache_mb", "campaign", false, nullptr,
+             [](CampaignSpec& s, const std::string& v) {
+               s.checkpoint_cache_mb = static_cast<std::size_t>(
+                   parse_u64("checkpoint_cache_mb", v));
+             },
+             "spec key 'checkpoint_cache_mb' is deprecated and ignored: "
+             "the checkpoint cache was removed"},
       SPEC_SIZE("mst_rows", "campaign", mst_sample_rows),
       SPEC_U64("progress_interval", "campaign", progress_interval),
       KeyDef{"vcd_out", "campaign", true,
@@ -622,10 +632,6 @@ void CampaignSpec::validate() const {
   if (state_interval > 0 && state_out.empty()) {
     bad("state_interval needs state_out — a cadence without a state file "
         "path writes nothing");
-  }
-  if (checkpoint && checkpoint_cache_mb == 0) {
-    bad("checkpoint_cache_mb must be >= 1 when checkpoint is on (use "
-        "checkpoint=off to disable the fast path instead)");
   }
 
   if (!problems.empty()) {

@@ -104,16 +104,11 @@ struct CampaignSpec {
   /// old spec and state files carry. Not a spec field: never saved,
   /// echoed or compared.
   TierMode tier = TierMode::kFast;
-  /// Checkpointed incremental simulation: workers cache per-corpus-parent
-  /// checkpoint sets and resume mutants from the deepest checkpoint
-  /// preceding their first divergent instruction. Results are
-  /// bit-identical to the cold path (pinned by the checkpoint
-  /// differential suite); off forces every run cold. Automatically
-  /// bypassed when record_dense_trace is set.
+  /// DEPRECATED, ignored: set by the `checkpoint` and
+  /// `checkpoint_cache_mb` keys of the removed checkpoint cache, which
+  /// old spec and state files carry. Not spec fields: never saved,
+  /// echoed or compared.
   bool checkpoint = true;
-  /// Total checkpoint-cache budget in MiB, split evenly across workers
-  /// (parent-affinity shards parents across workers, so per-worker
-  /// shares see the parents they are responsible for). LRU beyond it.
   std::size_t checkpoint_cache_mb = 64;
   /// on_progress event cadence in merged iterations; 0 disables.
   std::uint64_t progress_interval = 500;
@@ -149,8 +144,8 @@ struct CampaignSpec {
   /// differential in obs_test).
   bool metrics = true;
   /// When non-empty: write a Chrome trace-event JSON of the most recent
-  /// run()'s pipeline spans (generate / queue-wait / execute with
-  /// checkpoint-resume sub-spans / result-wait / merge / vcd-drain) to
+  /// run()'s pipeline spans (generate / queue-wait / execute /
+  /// result-wait / merge / vcd-drain) to
   /// this path — loadable in Perfetto or chrome://tracing. Ring-buffered:
   /// long campaigns keep the most recent window of events at bounded
   /// memory. Empty = off.

@@ -2,141 +2,27 @@
 
 #include <chrono>
 
-#include "snapshot/snapshot.hpp"
-
 namespace specure::core {
-
-const sim::Checkpoint* CheckpointCache::Entry::best_for(
-    std::size_t divergence, std::uint64_t min_cycles) const {
-  // Points are ascending by cycle and their watermarks are
-  // non-decreasing, so the first qualifying point from the back is the
-  // deepest resume.
-  for (auto it = points.rbegin(); it != points.rend(); ++it) {
-    if (it->fetch_watermark < static_cast<std::uint64_t>(divergence)) {
-      return it->cycle >= min_cycles ? &*it : nullptr;
-    }
-  }
-  return nullptr;
-}
-
-CheckpointCache::Entry* CheckpointCache::find(
-    std::uint64_t hash, const riscv::Program& expected) {
-  const auto it = map_.find(hash);
-  if (it == map_.end()) return nullptr;
-  if (!(it->second.program == expected)) return nullptr;  // hash collision
-  it->second.stamp = ++clock_;
-  return &it->second;
-}
-
-CheckpointCache::Entry* CheckpointCache::insert(std::uint64_t hash,
-                                                Entry entry,
-                                                CheckpointStats& stats,
-                                                Entry* recycled) {
-  entry.bytes = sizeof(Entry) + entry.trace.memory_bytes() +
-                entry.commits.size() * sizeof(sim::CommitRecord) +
-                entry.program.code.size() * sizeof(std::uint32_t) +
-                entry.program.data.size();
-  for (const sim::Checkpoint& cp : entry.points) {
-    entry.bytes += cp.memory_bytes();
-  }
-  if (entry.bytes > budget_) return nullptr;  // never cacheable
-  // Replacing an existing entry (the fuzzer regenerated an identical
-  // program) must release its accounted bytes first, or total_ inflates
-  // by the replaced size on every duplicate.
-  const auto existing = map_.find(hash);
-  if (existing != map_.end()) {
-    total_ -= existing->second.bytes;
-    map_.erase(existing);
-  }
-  while (total_ + entry.bytes > budget_ && !map_.empty()) {
-    auto victim = map_.begin();
-    for (auto it = map_.begin(); it != map_.end(); ++it) {
-      if (it->second.stamp < victim->second.stamp) victim = it;
-    }
-    total_ -= victim->second.bytes;
-    if (recycled != nullptr) *recycled = std::move(victim->second);
-    map_.erase(victim);
-    ++stats.evictions;
-  }
-  entry.stamp = ++clock_;
-  total_ += entry.bytes;
-  auto [it, inserted] = map_.emplace(hash, std::move(entry));
-  (void)inserted;
-  return &it->second;
-}
 
 CampaignWorker::CampaignWorker(const sim::CoreConfig& core,
                                const OfflineResult& offline,
                                LpPolicy lp_policy,
-                               const DetectorOptions& detector,
-                               const WorkerCheckpointOptions& checkpoint,
-                               const WorkerTierOptions& /*deprecated_tier*/)
+                               const DetectorOptions& detector)
     : sim_(core),
       lp_probe_(offline.ifg, offline.pdlc, sim_.signal_db(), lp_policy),
       detector_(offline.ifg, offline.pdlc, sim_.signal_db(), detector),
-      checkpoint_(checkpoint),
-      cache_(checkpoint.cache_bytes),
       scratch_(&sim_.signal_db()) {}
 
 void CampaignWorker::set_observability(const WorkerObservability& hooks) {
   tracer_ = hooks.tracer;
   lane_ = hooks.lane;
   if (hooks.registry != nullptr) {
-    cache_hits_ = hooks.registry->counter("checkpoint/cache_hits");
-    cache_misses_ = hooks.registry->counter("checkpoint/cache_misses");
+    sim_cycles_ = hooks.registry->counter("sim/cycles");
+    capped_runs_ = hooks.registry->counter("sim/capped_runs");
   } else {
-    cache_hits_ = obs::Counter();
-    cache_misses_ = obs::Counter();
+    sim_cycles_ = obs::Counter();
+    capped_runs_ = obs::Counter();
   }
-}
-
-const sim::RunResult& CampaignWorker::simulate(const fuzz::FuzzJob& job) {
-  pending_points_.clear();
-  last_resumed_ = false;
-  last_resume_cycle_ = 0;
-  const bool fast_path =
-      checkpoint_.enabled && !sim_.config().record_dense_trace;
-
-  if (fast_path && job.has_parent && job.divergence > 0) {
-    CheckpointCache::Entry* entry = cache_.find(job.parent_hash, job.parent);
-    if (entry != nullptr) {
-      const sim::Checkpoint* cp =
-          entry->best_for(job.divergence, checkpoint_.min_resume_cycles);
-      if (cp != nullptr) {
-        ++stats_.resumed;
-        stats_.resumed_cycles += cp->cycle;
-        last_resumed_ = true;
-        last_resume_cycle_ = cp->cycle;
-        cache_hits_.add(lane_);
-        if (tracer_ != nullptr) {
-          const auto r0 = std::chrono::steady_clock::now();
-          sim_.run_from(*cp, entry->trace, entry->commits, job.program,
-                        scratch_);
-          tracer_->record(
-              lane_, "checkpoint_resume", "sim", r0,
-              std::chrono::steady_clock::now(), job.iteration,
-              {"resume_cycle", static_cast<std::int64_t>(cp->cycle)},
-              {"watermark",
-               static_cast<std::int64_t>(cp->fetch_watermark)});
-        } else {
-          sim_.run_from(*cp, entry->trace, entry->commits, job.program,
-                        scratch_);
-        }
-        return scratch_;
-      }
-    }
-  }
-  ++stats_.cold;
-  cache_misses_.add(lane_);
-  if (fast_path) {
-    // Emit checkpoints as a side effect (~1% of the run): if this
-    // program later becomes a corpus parent, its resume points are
-    // already on this worker (parent-affinity routes its children here).
-    sim_.run(job.program, checkpoint_.cadence, pending_points_, scratch_);
-  } else {
-    sim_.run(job.program, scratch_);
-  }
-  return scratch_;
 }
 
 void CampaignWorker::process(const fuzz::FuzzJob& job,
@@ -148,7 +34,8 @@ void CampaignWorker::process(const fuzz::FuzzJob& job,
   // before the run (the simulator resets them keeping capacity), closing
   // the buffer-reuse loop across the executor's queue boundary.
   scratch_.coverage = std::move(out.coverage);
-  const sim::RunResult& run = simulate(job);
+  sim_.run(job.program, scratch_);
+  const sim::RunResult& run = scratch_;
 
   out.iteration = job.iteration;
   extract_mst(run.trace, out.windows);
@@ -160,31 +47,13 @@ void CampaignWorker::process(const fuzz::FuzzJob& job,
   out.coverage = std::move(scratch_.coverage);
   out.cycles = run.cycles;
 
-  // Donate the finished cold run to the checkpoint cache (the analysis
-  // above is done with the trace; the merger never sees it anyway). An
-  // evicted entry hands its trace/commit buffers back to the scratch
-  // RunResult, so steady-state donation costs no allocator round trips.
-  if (!pending_points_.empty()) {
-    ++stats_.insertions;
-    CheckpointCache::Entry fresh;
-    fresh.program = job.program;
-    fresh.points = std::move(pending_points_);
-    fresh.trace = std::move(scratch_.trace);
-    fresh.commits = std::move(scratch_.commits);
-    CheckpointCache::Entry recycled;
-    cache_.insert(job.program.hash(), std::move(fresh), stats_, &recycled);
-    if (!recycled.program.empty()) {  // an entry was actually evicted
-      scratch_.trace = std::move(recycled.trace);
-      scratch_.commits = std::move(recycled.commits);
-    }
-    pending_points_.clear();
-  }
-
+  sim_cycles_.add(lane_, run.cycles);
+  // A run that neither halted nor fell off the end of its program spent
+  // its whole max_cycles budget.
+  if (!run.halted_clean) capped_runs_.add(lane_);
   if (tracer_ != nullptr) {
-    tracer_->record(
-        lane_, "execute", "pipeline", e0, std::chrono::steady_clock::now(),
-        job.iteration, {"cache_hit", last_resumed_ ? 1 : 0},
-        {"resume_cycle", static_cast<std::int64_t>(last_resume_cycle_)});
+    tracer_->record(lane_, "execute", "pipeline", e0,
+                    std::chrono::steady_clock::now(), job.iteration);
   }
 }
 

@@ -11,27 +11,19 @@
 // worker's reusable scratch RunResult, so a deep batch stays cheap to
 // buffer and no trace/commit/data buffers are reallocated per run.
 //
-// Simulation takes the checkpoint fast path when it can: every cold run
-// emits a checkpoint set as a side effect (~1% overhead) and donates its
-// trace, commit log and checkpoints to a budgeted LRU cache keyed by
-// program hash (CheckpointCache) — so when a run's program later becomes
-// a corpus parent, its checkpoints are already waiting. A job carrying
-// mutation locality (FuzzJob::parent + divergence) resumes from the
-// deepest parent checkpoint whose fetch watermark precedes the
-// divergence — bit-identical to the cold run by the Simulator::run_from
-// contract — and falls back to the cold path on any miss. The
-// scheduler's parent-affinity routing sends all children of one parent
-// to the same worker so its cache sees every reuse.
+// Every job runs cold, Simulator::run(program, scratch) on a fresh
+// core. A prefix-resume checkpoint cache used to sit here; it resumed
+// under 4% of jobs on the paper's presets while holding a 64 MiB trace
+// LRU per session, so it was removed (docs/ARCHITECTURE.md).
 //
-// process() touches worker-owned state (scratch buffers, the checkpoint
-// cache) plus read-only shared state (the OfflineResult's IFG/PDLC), so
+// process() touches worker-owned state (the simulator and its scratch
+// buffers) plus read-only shared state (the OfflineResult's IFG/PDLC), so
 // any number of workers may run concurrently as long as each instance is
 // driven by one thread at a time — which the session's per-worker job
 // groups guarantee.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/coverage_calc.hpp"
@@ -46,9 +38,9 @@
 namespace specure::core {
 
 /// Observability wiring the session hands each worker before a run():
-/// registry counters (checkpoint-cache hit/miss on the worker's lane)
-/// and, when tracing, the span recorder the worker emits execute /
-/// checkpoint_resume spans into. All-default (null) wiring makes every
+/// registry counters (simulated cycles and runs capped at max_cycles, on
+/// the worker's lane) and, when tracing, the span recorder the worker
+/// emits execute spans into. All-default (null) wiring makes every
 /// instrumentation site a no-op; nothing here ever affects simulation
 /// results.
 struct WorkerObservability {
@@ -70,15 +62,12 @@ struct WorkerResult {
   std::uint64_t cycles = 0;
 };
 
-/// Worker-side checkpoint policy (derived from the spec's `checkpoint`
-/// and `checkpoint_cache_mb` keys).
+/// DEPRECATED, ignored: the policy of the removed checkpoint cache
+/// (prefix resume). Kept only so existing callers still compile; every
+/// job runs cold whatever these fields say.
 struct WorkerCheckpointOptions {
-  bool enabled = true;
-  std::size_t cache_bytes = 64ull << 20;
-  sim::CheckpointOptions cadence;
-  /// Resuming shallower than this many cycles is not worth the state
-  /// restore + trace fork; take the cold path instead.
-  std::uint64_t min_resume_cycles = 48;
+  bool enabled = true;                    ///< deprecated, ignored
+  std::size_t cache_bytes = 64ull << 20;  ///< deprecated, ignored
 };
 
 /// DEPRECATED, ignored: the tier policy of the removed fast-functional
@@ -89,69 +78,27 @@ struct WorkerTierOptions {
   bool loads_arm = false;  ///< deprecated, ignored
 };
 
-/// Wall-clock telemetry of the fast path (never affects results).
+/// DEPRECATED, always zero: telemetry of the removed checkpoint cache.
 struct CheckpointStats {
-  std::uint64_t resumed = 0;        ///< jobs served by run_from
-  std::uint64_t cold = 0;           ///< jobs served by the cold path
-  std::uint64_t insertions = 0;     ///< cold runs donated to the cache
-  std::uint64_t evictions = 0;      ///< LRU entries dropped for budget
-  std::uint64_t resumed_cycles = 0; ///< prefix cycles skipped in total
+  std::uint64_t insertions = 0;  ///< deprecated, always 0
 };
 
-/// Budgeted LRU map: program hash → that run's full trace, commit log
-/// and checkpoint set. One entry serves every child of the program once
-/// it becomes a corpus parent; the budget (bytes, not entries) bounds
-/// worker memory. Lookups on behalf of children LRU-bump the entry, so
-/// live parents survive the churn of never-selected runs.
-class CheckpointCache {
- public:
-  struct Entry {
-    riscv::Program program;  ///< collision guard: verified on find()
-    snapshot::Trace trace{nullptr};
-    std::vector<sim::CommitRecord> commits;
-    std::vector<sim::Checkpoint> points;  ///< ascending by cycle
-    std::size_t bytes = 0;
-    std::uint64_t stamp = 0;  ///< LRU clock
-
-    /// Deepest checkpoint usable for a child whose first divergent
-    /// instruction index is `divergence`, ignoring checkpoints shallower
-    /// than `min_cycles`; nullptr when none qualifies.
-    const sim::Checkpoint* best_for(std::size_t divergence,
-                                    std::uint64_t min_cycles) const;
-  };
-
-  explicit CheckpointCache(std::size_t budget_bytes)
-      : budget_(budget_bytes) {}
-
-  /// Lookup + LRU bump. Verifies the stored program against `expected`
-  /// so a hash collision degrades to a miss, never a wrong resume.
-  Entry* find(std::uint64_t hash, const riscv::Program& expected);
-
-  /// Insert (computing the entry's byte size), evicting least-recently
-  /// used entries until the budget holds. Returns the stored entry, or
-  /// nullptr when the entry alone exceeds the whole budget. When
-  /// `recycled` is non-null it receives one evicted entry (if any was
-  /// dropped), so the caller can reclaim its buffers instead of freeing
-  /// and reallocating them next run.
-  Entry* insert(std::uint64_t hash, Entry entry, CheckpointStats& stats,
-                Entry* recycled = nullptr);
-
-  std::size_t size() const { return map_.size(); }
-  std::size_t total_bytes() const { return total_; }
-
- private:
-  std::unordered_map<std::uint64_t, Entry> map_;
-  std::size_t budget_;
-  std::size_t total_ = 0;
-  std::uint64_t clock_ = 0;
+/// DEPRECATED, always empty: the removed checkpoint cache's size probe.
+struct EmptyCheckpointCache {
+  std::size_t total_bytes() const { return 0; }
 };
 
 class CampaignWorker {
  public:
   CampaignWorker(const sim::CoreConfig& core, const OfflineResult& offline,
+                 LpPolicy lp_policy, const DetectorOptions& detector);
+
+  /// DEPRECATED: the pre-removal signature; both policies are ignored.
+  CampaignWorker(const sim::CoreConfig& core, const OfflineResult& offline,
                  LpPolicy lp_policy, const DetectorOptions& detector,
-                 const WorkerCheckpointOptions& checkpoint = {},
-                 const WorkerTierOptions& deprecated_tier = {});
+                 const WorkerCheckpointOptions& /*deprecated_checkpoint*/,
+                 const WorkerTierOptions& /*deprecated_tier*/ = {})
+      : CampaignWorker(core, offline, lp_policy, detector) {}
 
   /// Simulate and analyze one job, writing into `out` (cleared first;
   /// its windows/lp_hits/coverage buffers are reused, so recycling one
@@ -182,34 +129,22 @@ class CampaignWorker {
   void set_observability(const WorkerObservability& hooks);
 
   const sim::Simulator& simulator() const { return sim_; }
-  const CheckpointStats& checkpoint_stats() const { return stats_; }
-  const CheckpointCache& checkpoint_cache() const { return cache_; }
+  /// DEPRECATED, always zero / empty (the checkpoint cache was removed).
+  CheckpointStats checkpoint_stats() const { return {}; }
+  EmptyCheckpointCache checkpoint_cache() const { return {}; }
 
  private:
-  /// Run the job into the scratch RunResult, via checkpoint resume when
-  /// a usable parent checkpoint exists, cold otherwise.
-  const sim::RunResult& simulate(const fuzz::FuzzJob& job);
-
   sim::Simulator sim_;
   LpCoverageMap lp_probe_;  ///< used const-only (probe), never committed
   VulnerabilityDetector detector_;
-  WorkerCheckpointOptions checkpoint_;
-  CheckpointCache cache_;
-  CheckpointStats stats_;
   sim::RunResult scratch_;  ///< reused across iterations (buffer reuse)
-  /// Checkpoints emitted by the most recent cold run, pending donation
-  /// to the cache once process() is done with the trace.
-  std::vector<sim::Checkpoint> pending_points_;
 
   // Observability (see set_observability). The counters are inert when
-  // no registry is attached; tracer_ == nullptr skips every span site.
-  obs::Counter cache_hits_;
-  obs::Counter cache_misses_;
+  // no registry is attached; tracer_ == nullptr skips the span site.
+  obs::Counter sim_cycles_;
+  obs::Counter capped_runs_;
   obs::TraceRecorder* tracer_ = nullptr;
   std::size_t lane_ = 0;
-  /// How simulate() served the most recent job (execute-span tags).
-  bool last_resumed_ = false;
-  std::uint64_t last_resume_cycle_ = 0;
 };
 
 }  // namespace specure::core

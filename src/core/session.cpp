@@ -1,6 +1,5 @@
 #include "core/session.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <exception>
@@ -73,6 +72,8 @@ PipelineStats pipeline_stats_view(const obs::Snapshot& base,
   out.merge_seconds = secs("stage/merge_ns");
   out.result_wait_seconds = secs("stage/result_wait_ns");
   out.vcd_seconds = secs("stage/vcd_ns");
+  out.sim_cycles = delta_counter(end, base, "sim/cycles");
+  out.capped_runs = delta_counter(end, base, "sim/capped_runs");
   out.workers.resize(jobs);
   for (std::size_t w = 0; w < jobs; ++w) {
     PipelineWorkerStats& ws = out.workers[w];
@@ -148,6 +149,58 @@ void Session::resume_from(CampaignFrontier frontier) {
   const std::string fix =
       " — resume it with the build and spec that wrote it, or restart the "
       "campaign without --resume";
+  // Cursor invariants (see CampaignFrontier): every captured frontier
+  // satisfies them, and a violation would map two in-flight jobs onto one
+  // window slot ((iteration - 1) % window) or desynchronize the fuzzer.
+  const auto count = [](std::uint64_t n) { return std::to_string(n); };
+  const std::uint64_t merged = frontier.merged;
+  const std::uint64_t in_flight = frontier.in_flight.size();
+  if (merged != frontier.result.history.size()) {
+    throw std::runtime_error(
+        where + " says " + count(merged) +
+        " iterations merged, but its history holds " +
+        count(frontier.result.history.size()) + fix);
+  }
+  const std::size_t window = spec_.batch_size == 0 ? 1 : spec_.batch_size;
+  if (in_flight > window) {
+    throw std::runtime_error(where + " carries " + count(in_flight) +
+                             " in-flight jobs, more than the batch size " +
+                             count(window) + fix);
+  }
+  for (std::uint64_t i = 0; i < in_flight; ++i) {
+    const std::uint64_t got = frontier.in_flight[i].iteration;
+    if (got != merged + 1 + i) {
+      throw std::runtime_error(
+          where + " has in-flight job " + count(i + 1) + " of " +
+          count(in_flight) + " at iteration " + count(got) + ", expected " +
+          count(merged + 1 + i) + " (in-flight jobs must be iterations " +
+          count(merged + 1) + " to " + count(merged + in_flight) +
+          ", each once)" + fix);
+    }
+  }
+  if (frontier.fuzzer.iteration != merged + in_flight) {
+    throw std::runtime_error(
+        where + " has its fuzzer cursor at iteration " +
+        count(frontier.fuzzer.iteration) + ", but " + count(merged) +
+        " merged plus " + count(in_flight) + " in flight is " +
+        count(merged + in_flight) + fix);
+  }
+  const std::uint64_t findings = frontier.result.vulns.size();
+  for (const PendingWaveform& p : frontier.pending_vcd) {
+    if (p.vuln_begin > p.vuln_end || p.vuln_end > findings) {
+      throw std::runtime_error(
+          where + " has a pending waveform for findings " +
+          count(p.vuln_begin) + " to " + count(p.vuln_end) +
+          " of iteration " + count(p.iteration) + ", but holds " +
+          count(findings) + " findings" + fix);
+    }
+  }
+  if (frontier.fuzzer.corpus.size() > spec_.fuzzer.corpus_max) {
+    throw std::runtime_error(
+        where + " holds " + count(frontier.fuzzer.corpus.size()) +
+        " corpus entries, more than corpus_max = " +
+        count(spec_.fuzzer.corpus_max) + fix);
+  }
   if (frontier.lp_covered.size() != offline_.pdlc.size()) {
     throw std::runtime_error(
         where + " has an LP coverage mask over " +
@@ -243,22 +296,12 @@ CampaignResult Session::run() {
   // references the LP prober and detector hold into them) at stable
   // addresses. Grown, never shrunk: a later run() may resolve more jobs
   // (the serve daemon rescales a tenant's share as campaigns come and
-  // go), and worker caches are wall-clock-only state either way.
+  // go), and worker scratch buffers are wall-clock-only state either way.
   if (workers_.size() < jobs) {
-    WorkerCheckpointOptions checkpoint;
-    // The dense reference recorder has no resume prefix; fall back to
-    // all-cold rather than rejecting the (debug-only) combination.
-    checkpoint.enabled = spec_.checkpoint && !spec_.core.record_dense_trace;
-    // The spec budget is the campaign total; each worker gets an even
-    // share (affinity shards parents, so shares don't overlap).
-    checkpoint.cache_bytes =
-        std::max<std::size_t>((spec_.checkpoint_cache_mb << 20) / jobs,
-                              std::size_t{1} << 20);
     workers_.reserve(jobs);
     for (std::size_t w = workers_.size(); w < jobs; ++w) {
       workers_.push_back(std::make_unique<CampaignWorker>(
-          spec_.core, offline_, spec_.lp_policy, spec_.detector,
-          checkpoint));
+          spec_.core, offline_, spec_.lp_policy, spec_.detector));
     }
   }
 
@@ -633,44 +676,31 @@ CampaignResult Session::run() {
         });
       }
 
-      // Dispatch bookkeeping — all merger-thread-private and a pure
-      // function of merged campaign state, so the worker assignment (and
-      // with it the checkpoint-cache population) is deterministic.
+      // Dispatch bookkeeping — all merger-thread-private.
       std::vector<std::size_t> slot_worker(window, 0);
       std::vector<std::size_t> load(jobs, 0);
       std::vector<bool> ready(window, false);
-      const std::size_t share = (window + jobs - 1) / jobs;
       // Absolute campaign counters (resume continues mid-stream; slot
       // indices are functions of absolute iteration numbers, so the slot
       // mapping is identical to the uninterrupted run's).
       std::uint64_t issued = merged_total;
       std::uint64_t merged = merged_total;
 
-      // The most recent dispatch's parent-affinity decision (merge-strand
-      // private), tagged onto the generate span when tracing.
-      std::size_t last_affinity = 0;
+      // The most recent dispatch's worker (merge-strand private), tagged
+      // onto the generate span when tracing.
       std::size_t last_assigned = 0;
 
-      // Parent-affinity routing: each job is pinned to the worker that
-      // holds (or will build) its corpus parent's checkpoint set, so the
-      // per-worker checkpoint caches see every reuse opportunity. A worker
-      // already holding an even share of the window spills the job to the
-      // least-loaded worker: affinity is a cache hint, never a serialization
-      // point. Worker results are assignment-independent, so this affects
-      // only which cache sees which job, never the campaign result.
+      // Each job goes to the worker with the fewest jobs in flight (the
+      // lowest index on ties). Worker results are assignment-independent,
+      // so routing affects only which worker pays which cost, never the
+      // campaign result.
       const auto dispatch = [&](fuzz::FuzzJob&& job) {
         const auto s =
             static_cast<std::uint32_t>((job.iteration - 1) % window);
-        const std::size_t affinity = CampaignScheduler::worker_for(job, jobs);
-        std::size_t w = affinity;
-        if (load[w] >= share) {
-          std::size_t least = 0;
-          for (std::size_t i = 1; i < jobs; ++i) {
-            if (load[i] < load[least]) least = i;
-          }
-          w = least;
+        std::size_t w = 0;
+        for (std::size_t i = 1; i < jobs; ++i) {
+          if (load[i] < load[w]) w = i;
         }
-        last_affinity = affinity;
         last_assigned = w;
         slot_worker[s] = w;
         ++load[w];
@@ -749,9 +779,7 @@ CampaignResult Session::run() {
           if (tracing) {
             tracer_->record(
                 merge_lane_, "generate", "pipeline", g0, g1, drawn_iteration,
-                {"affinity_worker", static_cast<std::int64_t>(last_affinity)},
-                {"assigned_worker", static_cast<std::int64_t>(last_assigned)},
-                {"spilled", last_assigned != last_affinity ? 1 : 0});
+                {"assigned_worker", static_cast<std::int64_t>(last_assigned)});
           }
         }
         // Pause boundary: the frontier invariant holds right here (merge +

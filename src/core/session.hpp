@@ -178,6 +178,10 @@ struct PipelineStats {
   double merge_seconds = 0;        ///< in-order merging + observers
   double result_wait_seconds = 0;  ///< merger parked on the completion ring
   double vcd_seconds = 0;          ///< deferred waveform drain (vcd_out)
+  /// Cycles simulated by the workers, and the runs among them that hit
+  /// max_cycles without halting (counters sim/cycles, sim/capped_runs).
+  std::uint64_t sim_cycles = 0;
+  std::uint64_t capped_runs = 0;
   std::vector<PipelineWorkerStats> workers;  ///< one entry per worker
 };
 
@@ -225,11 +229,15 @@ class Session {
   /// fresh (durable-state resume, `specure run --resume`, the serve
   /// daemon's restart recovery). The frontier must come from a campaign
   /// with the same result-affecting spec fields; wall-clock-only fields
-  /// (jobs, checkpoint, intervals, output paths) may differ —
+  /// (jobs, intervals, output paths) may differ —
   /// the result stays bit-identical either way. Throws std::runtime_error,
-  /// naming frontier.origin, when the frontier's coverage does not fit
-  /// this campaign: an LP mask of another channel count, or a code-
-  /// coverage point outside sim::CoverageRecorder's universe.
+  /// naming frontier.origin, when the frontier does not fit this
+  /// campaign: a merged count other than the history length, more
+  /// in-flight jobs than batch_size or any not numbered merged+1 ..
+  /// merged+k in order, a fuzzer cursor other than merged+k, a pending
+  /// waveform naming findings the result does not hold, more corpus
+  /// entries than corpus_max, an LP mask of another channel count, or a
+  /// code-coverage point outside sim::CoverageRecorder's universe.
   void resume_from(CampaignFrontier frontier);
 
   /// Ask the running campaign to pause at the next merge boundary

@@ -47,21 +47,4 @@ riscv::Program mutate(const riscv::Program& input, util::Rng& rng,
 riscv::Program splice(const riscv::Program& a, const riscv::Program& b,
                       util::Rng& rng);
 
-/// Sentinel for first_divergence: the two programs are observationally
-/// identical (a resumed run may use any checkpoint).
-inline constexpr std::size_t kNoDivergence = static_cast<std::size_t>(-1);
-
-/// First instruction index at which running `child` could observe a
-/// difference from `parent` — the mutation-locality report the
-/// checkpoint fast path keys on. A checkpoint of the parent is valid for
-/// the child iff its fetch watermark is strictly below this index.
-///
-/// Rules: any data-image difference returns 0 (loads can reach the whole
-/// image from cycle one); otherwise the first differing code word,
-/// except that differing code *lengths* cap the result at the shorter
-/// length (the simulator's end-of-program probe observes the length).
-/// Zero-padding beyond each image matches Memory::fetch semantics.
-std::size_t first_divergence(const riscv::Program& parent,
-                             const riscv::Program& child);
-
 }  // namespace specure::fuzz

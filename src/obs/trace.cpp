@@ -42,7 +42,12 @@ TraceRecorder::TraceRecorder(std::size_t lanes, std::size_t total_capacity)
     : epoch_(Clock::now()), lanes_(lanes == 0 ? 1 : lanes) {
   const std::size_t per_lane =
       std::max<std::size_t>(total_capacity / lanes_.size(), 1024);
-  for (Lane& lane : lanes_) lane.ring.resize(per_lane);
+  // Reserve, don't fill: a short traced campaign then touches only the
+  // pages its events land in, not the whole ~12 MiB default capacity.
+  for (Lane& lane : lanes_) {
+    lane.capacity = per_lane;
+    lane.ring.reserve(per_lane);
+  }
 }
 
 void TraceRecorder::set_lane_name(std::size_t lane, std::string name) {
@@ -55,7 +60,10 @@ void TraceRecorder::record(std::size_t lane, const char* name,
                            TraceArg a0, TraceArg a1, TraceArg a2) {
   if (lane >= lanes_.size()) return;
   Lane& l = lanes_[lane];
-  TraceEvent& e = l.ring[l.recorded % l.ring.size()];
+  // The ring grows until full, then overwrites its oldest event.
+  TraceEvent& e = l.ring.size() < l.capacity
+                      ? l.ring.emplace_back()
+                      : l.ring[l.recorded % l.capacity];
   ++l.recorded;
   e.name = name;
   e.category = category;

@@ -71,7 +71,8 @@ class TraceRecorder {
 
  private:
   struct Lane {
-    std::vector<TraceEvent> ring;
+    std::vector<TraceEvent> ring;  ///< grows to `capacity`, then wraps
+    std::size_t capacity = 0;
     std::uint64_t recorded = 0;  ///< events ever recorded on this lane
     std::string name;
   };

@@ -19,24 +19,6 @@ std::vector<std::uint8_t> Program::to_bytes() const {
   return out;
 }
 
-std::uint64_t Program::hash() const {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(code.size());
-  for (const std::uint32_t w : code) mix(w);
-  mix(data.size());
-  for (const std::uint8_t b : data) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 Program Program::from_bytes(const std::vector<std::uint8_t>& bytes) {
   Program p;
   std::size_t pos = 0;

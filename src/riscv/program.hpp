@@ -39,12 +39,6 @@ struct Program {
   std::string to_hex() const;
   static Program from_hex(const std::string& hex);
 
-  /// FNV-1a over code words and data bytes (length-delimited). Used as
-  /// the corpus-parent identity for checkpoint caching and worker
-  /// affinity; collisions are tolerated (cache lookups re-verify by full
-  /// program comparison).
-  std::uint64_t hash() const;
-
   bool operator==(const Program&) const = default;
 };
 

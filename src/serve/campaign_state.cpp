@@ -100,14 +100,18 @@ core::VulnReport read_vuln(ByteReader& r) {
   return v;
 }
 
+// Each in-flight job still carries the locality bytes of the removed
+// checkpoint cache (has_parent, parent program, parent hash, divergence):
+// written as "no parent", read and discarded, so the format is
+// unchanged in both directions.
 void write_fuzz_job(ByteWriter& w, const fuzz::FuzzJob& job) {
   w.u64(job.iteration);
   write_program(w, job.program);
   w.u64(job.rng_seed);
-  w.u8(job.has_parent ? 1 : 0);
-  write_program(w, job.parent);
-  w.u64(job.parent_hash);
-  w.u64(job.divergence);
+  w.u8(0);
+  write_program(w, riscv::Program{});
+  w.u64(0);
+  w.u64(0);
 }
 
 fuzz::FuzzJob read_fuzz_job(ByteReader& r) {
@@ -115,10 +119,10 @@ fuzz::FuzzJob read_fuzz_job(ByteReader& r) {
   job.iteration = r.u64("in-flight job iteration");
   job.program = read_program(r, "in-flight job program");
   job.rng_seed = r.u64("in-flight job rng seed");
-  job.has_parent = r.u8("in-flight job has_parent") != 0;
-  job.parent = read_program(r, "in-flight job parent");
-  job.parent_hash = r.u64("in-flight job parent hash");
-  job.divergence = r.u64("in-flight job divergence");
+  r.u8("in-flight job has_parent");
+  read_program(r, "in-flight job parent");
+  r.u64("in-flight job parent hash");
+  r.u64("in-flight job divergence");
   return job;
 }
 
@@ -425,8 +429,8 @@ CampaignState load_state_file(const std::string& path) {
 const std::vector<std::string>& result_neutral_keys() {
   // Every key here is documented (and tested) to never change a
   // CampaignResult — only wall-clock behaviour and side-output paths.
-  // `pipeline` and `tier` are deprecated no-ops that old state files
-  // still carry.
+  // `pipeline`, `tier`, `checkpoint` and `checkpoint_cache_mb` are
+  // deprecated no-ops that old state files still carry.
   static const std::vector<std::string> keys = {
       "jobs",          "pipeline",        "tier",
       "checkpoint",    "checkpoint_cache_mb", "progress_interval",
@@ -461,7 +465,7 @@ core::CampaignSpec resume_spec(const CampaignState& state,
         "which would break the bit-identity contract —" +
         mismatches +
         "\nresume with a matching spec (wall-clock fields like jobs/"
-        "checkpoint/vcd_out may differ), or restart without --resume");
+        "trace_out/vcd_out may differ), or restart without --resume");
   }
 
   // Adopt the requested wall-clock fields onto the stored spec.

@@ -62,8 +62,7 @@ void save_state_file(const std::string& path, const core::CampaignSpec& spec,
 CampaignState load_state_file(const std::string& path);
 
 /// Build the spec a resumed campaign runs under: the stored spec with
-/// the *result-neutral* fields (jobs, checkpoint knobs, intervals,
-/// output paths) adopted from `requested`. Any difference in
+/// the *result-neutral* fields (jobs, intervals, output paths) adopted from `requested`. Any difference in
 /// a result-affecting field (seed, budgets, core config, fuzzer options,
 /// detectors, ...) throws StateError listing every mismatched key —
 /// resuming under a spec that changes the result would silently break

@@ -91,22 +91,4 @@ std::uint64_t BranchPredictor::ras_pop() {
   return ras_[--ras_top_];
 }
 
-void BranchPredictor::save(BpredState& out) const {
-  out.ghist = ghist_;
-  out.pht = pht_;
-  out.btb_tag = btb_tag_;
-  out.btb_target = btb_target_;
-  out.ras = ras_;
-  out.ras_top = ras_top_;
-}
-
-void BranchPredictor::restore(const BpredState& state) {
-  ghist_ = state.ghist;
-  pht_ = state.pht;
-  btb_tag_ = state.btb_tag;
-  btb_target_ = state.btb_target;
-  ras_ = state.ras;
-  ras_top_ = state.ras_top;
-}
-
 }  // namespace specure::sim

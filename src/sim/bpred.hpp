@@ -20,16 +20,6 @@ struct Prediction {
   std::uint64_t target = 0;
 };
 
-/// Snapshotable predictor state (part of sim::CoreState).
-struct BpredState {
-  std::uint64_t ghist = 0;
-  std::vector<std::uint8_t> pht;
-  std::vector<std::uint64_t> btb_tag;
-  std::vector<std::uint64_t> btb_target;
-  std::vector<std::uint64_t> ras;
-  unsigned ras_top = 0;
-};
-
 class BranchPredictor {
  public:
   explicit BranchPredictor(const CoreConfig& cfg);
@@ -73,10 +63,6 @@ class BranchPredictor {
   const std::vector<std::uint64_t>& btb_targets() const { return btb_target_; }
   const std::vector<std::uint64_t>& ras() const { return ras_; }
   unsigned ras_top() const { return ras_top_; }
-
-  // Checkpointing.
-  void save(BpredState& out) const;
-  void restore(const BpredState& state);
 
  private:
   std::size_t pht_index(std::uint64_t pc) const;

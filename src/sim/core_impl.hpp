@@ -1,5 +1,5 @@
 // The core's per-run execution engine behind Simulator (core.cpp): the
-// detailed pipeline, checkpoint emission and resume. Not part of the
+// detailed pipeline and its per-cycle trace capture. Not part of the
 // public API — include sim/core.hpp and drive a Simulator instead.
 #pragma once
 
@@ -88,8 +88,45 @@ inline std::uint64_t extend_load(Op op, std::uint64_t raw) {
   }
 }
 
-/// One core executing one program (cold, or resumed from a Checkpoint).
-/// Lives for the duration of a Simulator::run / run_from call.
+/// One reorder-buffer slot.
+struct RobEntry {
+  bool valid = false;
+  std::uint64_t seq = 0;  ///< monotonically increasing issue order
+  std::uint64_t pc = 0;
+  riscv::DecodedInst dec;
+  bool done = false;
+  bool squashed = false;
+  std::uint64_t ready_cycle = 0;
+
+  bool writes_rd = false;
+  PhysReg new_phys = 0;
+  PhysReg old_phys = 0;
+  std::uint64_t result = 0;
+  bool result_tainted = false;
+
+  bool is_ctrl = false;       ///< conditional branch or JALR
+  bool unsafe = false;        ///< unresolved speculative window opener
+  bool resolved = false;
+  bool mispredicted = false;
+  bool pred_taken = false;
+  std::uint64_t pred_next = 0;
+  bool actual_taken = false;
+  std::uint64_t actual_next = 0;
+
+  bool is_store = false;
+  std::uint64_t mem_addr = 0;
+  std::uint64_t store_value = 0;
+  unsigned mem_size = 0;
+
+  bool writes_csr = false;
+  std::uint16_t csr_addr = 0;
+  std::uint64_t csr_wval = 0;
+
+  bool is_halt = false;  ///< ECALL/EBREAK
+};
+
+/// One core executing one program on a cold start. Lives for the
+/// duration of a Simulator::run call.
 class Core {
  public:
   Core(const CoreConfig& cfg, const std::vector<SigDesc>& descs,
@@ -134,9 +171,7 @@ class Core {
     tlb_.bind_dirty(&dirty_, layout_.tlb);
   }
 
-  /// Cold run, optionally emitting resume checkpoints.
-  void run(const riscv::Program& program, RunResult& res,
-           const CheckpointOptions* ck, std::vector<Checkpoint>* out) {
+  void run(const riscv::Program& program, RunResult& res) {
     res.reset();
     if (cfg_.record_dense_trace) {
       res.dense_trace = std::make_unique<snapshot::DenseTrace>(&db_);
@@ -144,35 +179,6 @@ class Core {
     mem_.load(program);
     decode_buf_.build(program.code);
     fetch_pc_ = riscv::kCodeBase;
-    loop(res, ck, out);
-    finish(res);
-  }
-
-  /// Resume `program` from a checkpoint of its parent. The caller
-  /// (Simulator::run_from) has already seeded `res` with the prefix
-  /// trace, commits, coverage and instruction count.
-  void resume(const Checkpoint& cp, const riscv::Program& program,
-              RunResult& res) {
-    restore_state(cp.state);
-    // The restored memory is the parent's image at the checkpoint cycle;
-    // only the code differs between parent and child below the fetch
-    // watermark contract, so patching the code image suffices.
-    mem_.set_code(program.code);
-    decode_buf_.build(program.code);
-    loop(res, nullptr, nullptr);
-    finish(res);
-  }
-
- private:
-  void loop(RunResult& res, const CheckpointOptions* ck,
-            std::vector<Checkpoint>* out) {
-    // Checkpoint cadence: geometric at first (the fetch watermark races
-    // through the program in the earliest cycles, so late saves there
-    // would skip the low-watermark states mutants actually resume from),
-    // then steady every `interval` cycles.
-    std::uint64_t gap =
-        ck != nullptr ? std::min<std::uint64_t>(8, ck->interval) : 0;
-    std::uint64_t next_save = cycle_ + gap;
     while (!halted_ && cycle_ < cfg_.max_cycles) {
       ++cycle_;
       begin_cycle();
@@ -181,21 +187,8 @@ class Core {
       issue(res);
       csr_.tick();
       capture(res);
-      // The end-of-run probe below observes the code image via
-      // fetch_word(), so a checkpoint saved after it has the probe's
-      // index folded into its watermark — resume re-evaluates the probe
-      // on the child's image and cannot diverge.
       if (rob_count_ == 0 && fetch_done()) break;
-      if (ck != nullptr && cycle_ >= next_save) {
-        if (!halted_) push_checkpoint(*ck, *out, res);
-        gap = std::min(gap * 2, ck->interval);
-        next_save = cycle_ + gap;
-      }
     }
-  }
-
-  /// Shared run epilogue (cold and resumed runs).
-  void finish(RunResult& res) {
     res.cycles = cycle_;
     res.halted_clean = halted_ || (rob_count_ == 0 && fetch_done());
     res.final_data = mem_.data_image();
@@ -207,25 +200,8 @@ class Core {
   }
   bool rob_full() const { return rob_count_ == rob_.size(); }
 
-  /// Every instruction-memory observation funnels through here so the
-  /// fetch watermark (max code word index the run has depended on) stays
-  /// exact — it is what bounds checkpoint reuse for mutated programs.
-  /// The index is clamped to the image length: a beyond-image fetch
-  /// (wrong-path jump to garbage) observes only (word = 0, index >=
-  /// length), which fuzz::first_divergence already accounts for by
-  /// capping the divergence at the shorter length when lengths differ —
-  /// so such probes must not disqualify in-image prefix reuse.
-  std::uint32_t fetch_word(std::uint64_t pc) {
-    if (pc >= riscv::kCodeBase) {
-      const std::uint64_t index = std::min<std::uint64_t>(
-          (pc - riscv::kCodeBase) / 4, mem_.code_words());
-      if (index > fetch_watermark_) fetch_watermark_ = index;
-    }
-    return mem_.fetch(pc);
-  }
-
-  bool fetch_done() {
-    return fetch_word(fetch_pc_) == 0 && fetch_pc_ >= riscv::kCodeBase &&
+  bool fetch_done() const {
+    return mem_.fetch(fetch_pc_) == 0 && fetch_pc_ >= riscv::kCodeBase &&
            (fetch_pc_ - riscv::kCodeBase) / 4 >= mem_.code_words();
   }
 
@@ -244,103 +220,6 @@ class Core {
     return scratch_dec_;
   }
 
-  // --------------------------------------------------------- checkpoints --
-  void save_state(CoreState& s) const {
-    mem_.save(s.mem);
-    bp_.save(s.bp);
-    csr_.save(s.csr);
-    rename_.save(s.rename);
-    tlb_.save(s.tlb);
-    dcache_.save(s.dcache);
-    s.rob = rob_;
-    s.rob_head = rob_head_;
-    s.rob_tail = rob_tail_;
-    s.rob_count = rob_count_;
-    s.seq = seq_;
-    s.prf_ready = prf_ready_;
-    s.prf_taint = prf_taint_;
-    s.fetch_pc = fetch_pc_;
-    s.cycle = cycle_;
-    s.halted = halted_;
-    s.fetch_stalled = fetch_stalled_;
-    s.fetch_watermark = fetch_watermark_;
-    s.brupdate_valid = brupdate_valid_;
-    s.brupdate_mispredict = brupdate_mispredict_;
-    s.commit_valid = commit_valid_;
-    s.commit_pc = commit_pc_;
-    s.commit_inst = commit_inst_;
-    s.commit_rd = commit_rd_;
-    s.tainted_access = tainted_access_;
-    s.exec_result = exec_result_;
-    s.lsu_addr = lsu_addr_;
-    s.lsu_load_data = lsu_load_data_;
-  }
-
-  void restore_state(const CoreState& s) {
-    mem_.restore(s.mem);
-    bp_.restore(s.bp);
-    csr_.restore(s.csr);
-    rename_.restore(s.rename);
-    tlb_.restore(s.tlb);
-    dcache_.restore(s.dcache);
-    rob_ = s.rob;
-    rob_head_ = s.rob_head;
-    rob_tail_ = s.rob_tail;
-    rob_count_ = s.rob_count;
-    seq_ = s.seq;
-    prf_ready_ = s.prf_ready;
-    prf_taint_ = s.prf_taint;
-    fetch_pc_ = s.fetch_pc;
-    cycle_ = s.cycle;
-    halted_ = s.halted;
-    fetch_stalled_ = s.fetch_stalled;
-    fetch_watermark_ = s.fetch_watermark;
-    brupdate_valid_ = s.brupdate_valid;
-    brupdate_mispredict_ = s.brupdate_mispredict;
-    commit_valid_ = s.commit_valid;
-    commit_pc_ = s.commit_pc;
-    commit_inst_ = s.commit_inst;
-    commit_rd_ = s.commit_rd;
-    tainted_access_ = s.tainted_access;
-    exec_result_ = s.exec_result;
-    lsu_addr_ = s.lsu_addr;
-    lsu_load_data_ = s.lsu_load_data;
-    unsafe_count_ = count_unsafe();
-  }
-
-  void push_checkpoint(const CheckpointOptions& opt,
-                       std::vector<Checkpoint>& out, const RunResult& res) {
-    Checkpoint cp;
-    save_state(cp.state);
-    cp.cycle = cycle_;
-    cp.fetch_watermark = fetch_watermark_;
-    cp.commit_count = res.commits.size();
-    cp.instructions_committed = res.instructions_committed;
-    cp.coverage = res.coverage;
-    if (!out.empty() && out.back().fetch_watermark == fetch_watermark_) {
-      // Same watermark plateau (e.g. a loop spinning below it): a later
-      // cycle strictly dominates, so overwrite instead of accumulating.
-      out.back() = std::move(cp);
-      return;
-    }
-    if (out.size() >= opt.max_checkpoints) {
-      // At capacity on a new plateau: thin the densest region (smallest
-      // cycle gap to its predecessor) instead of dropping the new, deep
-      // point — late resume points are the ones that skip the most work.
-      std::size_t victim = 1;
-      std::uint64_t best_gap = ~std::uint64_t{0};
-      for (std::size_t i = 1; i < out.size(); ++i) {
-        const std::uint64_t gap = out[i].cycle - out[i - 1].cycle;
-        if (gap < best_gap) {
-          best_gap = gap;
-          victim = i;
-        }
-      }
-      out.erase(out.begin() + static_cast<std::ptrdiff_t>(victim));
-    }
-    out.push_back(std::move(cp));
-  }
-
   bool store_overlap(std::uint64_t addr, unsigned size) const {
     for (const auto& e : rob_) {
       if (!e.valid || e.squashed || !e.is_store) continue;
@@ -353,18 +232,10 @@ class Core {
 
   /// O(1) open-window test: unsafe_count_ counts ROB entries with
   /// (valid && unsafe && !resolved && !squashed) — incremented at
-  /// branch/JALR issue, decremented on resolve and on squash-release,
-  /// recomputed on restore. It gates the per-cycle oldest_unsafe() scan,
-  /// which otherwise ran O(rob) even with no window open.
+  /// branch/JALR issue, decremented on resolve and on squash-release.
+  /// It gates the per-cycle oldest_unsafe() scan, which otherwise ran
+  /// O(rob) even with no window open.
   bool any_unsafe() const { return unsafe_count_ != 0; }
-
-  unsigned count_unsafe() const {
-    unsigned n = 0;
-    for (const auto& e : rob_) {
-      if (e.valid && e.unsafe && !e.resolved && !e.squashed) ++n;
-    }
-    return n;
-  }
 
   const RobEntry* oldest_unsafe() const {
     const RobEntry* best = nullptr;
@@ -527,7 +398,7 @@ class Core {
 
   void issue(RunResult& res) {
     if (halted_ || rob_full() || fetch_stalled_) return;
-    const std::uint32_t word = fetch_word(fetch_pc_);
+    const std::uint32_t word = mem_.fetch(fetch_pc_);
     const DecodedInst& dec = decode_at(fetch_pc_, word);
     res.coverage.branch(CovSite::kDecodeValid, dec.valid());
 
@@ -819,10 +690,7 @@ class Core {
   /// no event, so the stream is byte-identical to a full sweep as long as
   /// every signal that DID change is marked (the component author's
   /// obligation, see ARCHITECTURE.md). The first captured tick seeds the
-  /// live array with a full sweep; a checkpoint-resumed run needs no such
-  /// reseed because fork_into reconstructed the live array to exactly the
-  /// restored CoreState's values, and the resumed cycle's own marks cover
-  /// everything it mutates from there.
+  /// live array with a full sweep.
   void capture(RunResult& res) {
     const bool first = res.trace.empty();
     res.trace.begin_cycle(cycle_);
@@ -939,7 +807,6 @@ class Core {
   std::uint64_t cycle_ = 0;
   bool halted_ = false;
   bool fetch_stalled_ = false;  ///< pending trap (ECALL/EBREAK/illegal)
-  std::uint64_t fetch_watermark_ = 0;
 
   riscv::DecodedProgram& decode_buf_;  ///< simulator-owned scratch buffer
   DecodedInst scratch_dec_;            ///< off-image decode_at() result

@@ -17,11 +17,6 @@
 
 namespace specure::sim {
 
-/// Snapshotable CSR state (part of sim::CoreState).
-struct CsrState {
-  std::array<std::uint64_t, riscv::csr::kImplemented.size()> values{};
-};
-
 class CsrFile {
  public:
   explicit CsrFile(const CoreConfig& cfg);
@@ -63,10 +58,6 @@ class CsrFile {
   static constexpr std::size_t count() {
     return riscv::csr::kImplemented.size();
   }
-
-  // Checkpointing.
-  void save(CsrState& out) const { out.values = values_; }
-  void restore(const CsrState& state) { values_ = state.values; }
 
  private:
   std::size_t index_of(std::uint16_t addr) const;

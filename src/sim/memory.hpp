@@ -11,12 +11,6 @@
 
 namespace specure::sim {
 
-/// Snapshotable memory image (part of sim::CoreState).
-struct MemoryState {
-  std::vector<std::uint32_t> code;
-  std::vector<std::uint8_t> data;
-};
-
 class Memory {
  public:
   /// Load a program image: code at kCodeBase, data at kDataBase.
@@ -38,16 +32,6 @@ class Memory {
 
   /// The full data-region image (for end-of-run architectural comparison).
   const std::vector<std::uint8_t>& data_image() const { return data_; }
-
-  // Checkpointing: copy-out / copy-in of the whole image.
-  void save(MemoryState& out) const;
-  void restore(const MemoryState& state);
-
-  /// Replace only the code image. Checkpoint resume restores the parent's
-  /// memory and patches the child's code over it; validity (no prefix
-  /// fetch ever observed a differing word, identical data images) is the
-  /// caller's contract, established via fuzz::first_divergence.
-  void set_code(const std::vector<std::uint32_t>& code) { code_ = code; }
 
  private:
   std::vector<std::uint32_t> code_;

@@ -94,19 +94,4 @@ void RenameStage::squash_free(PhysReg new_phys) {
   }
 }
 
-void RenameStage::save(RenameState& out) const {
-  out.maptable = maptable_;
-  out.freelist = freelist_;
-  out.prf = prf_;
-  out.checkpoints = checkpoints_;
-}
-
-void RenameStage::restore(const RenameState& state) {
-  maptable_ = state.maptable;
-  freelist_ = state.freelist;
-  prf_ = state.prf;
-  checkpoints_ = state.checkpoints;
-  rebuild_rev();
-}
-
 }  // namespace specure::sim

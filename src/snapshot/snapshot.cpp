@@ -98,33 +98,6 @@ void Trace::reset() {
   contiguous_ = true;
 }
 
-Trace Trace::fork_at(std::uint64_t cycle) const {
-  Trace out(db_);
-  fork_into(cycle, out);
-  return out;
-}
-
-void Trace::fork_into(std::uint64_t cycle, Trace& out) const {
-  const std::size_t t = index_of(cycle);  // throws naming the covered range
-  out.db_ = db_;
-  out.cycles_.assign(cycles_.begin(), cycles_.begin() + t + 1);
-  out.offsets_.assign(offsets_.begin(), offsets_.begin() + t + 1);
-  const std::size_t events = tick_end(t);
-  out.event_ids_.assign(event_ids_.begin(), event_ids_.begin() + events);
-  out.event_values_.assign(event_values_.begin(),
-                           event_values_.begin() + events);
-  materialize(t, out.live_);
-  // A cold recording of ticks 0..t would have keyframed the state after
-  // tick m * kKeyframeInterval for every m with m * kKeyframeInterval
-  // <= t - 1 (the keyframe is pushed when the *next* tick begins).
-  const std::size_t keyframes = t == 0 ? 0 : (t - 1) / kKeyframeInterval + 1;
-  out.keyframes_.assign(
-      keyframes_.begin(),
-      keyframes_.begin() +
-          static_cast<std::ptrdiff_t>(keyframes * db_->size()));
-  out.contiguous_ = cycles_[t] - cycles_[0] == t;
-}
-
 std::size_t Trace::memory_bytes() const {
   std::size_t bytes = 0;
   bytes += event_ids_.size() * sizeof(SignalId);

@@ -106,21 +106,6 @@ class Trace {
   /// event columns each iteration.
   void reset();
 
-  // ---- forking (checkpoint resume) ---------------------------------------
-  /// A trace holding exactly the ticks up to and including `cycle`, laid
-  /// out byte-identically to what recording only those ticks would have
-  /// produced (same events, same keyframe grid, same live array), and
-  /// ready to continue recording from the next cycle. This is how a
-  /// checkpoint-resumed run inherits its parent's event prefix. Throws
-  /// std::runtime_error naming the covered range when `cycle` was never
-  /// recorded (fork at cycle 0 or past end-of-trace).
-  Trace fork_at(std::uint64_t cycle) const;
-
-  /// Buffer-reusing fork: like fork_at, but fills `out` in place
-  /// (reusing its column capacity). `out` is re-bound to this trace's
-  /// SignalDb.
-  void fork_into(std::uint64_t cycle, Trace& out) const;
-
   // ---- shape ------------------------------------------------------------
   std::size_t size() const { return cycles_.size(); }
   bool empty() const { return cycles_.empty(); }

@@ -232,18 +232,24 @@ TEST(CampaignSpecDeprecated, TierSpecKeyRoundTrip) {
 }
 
 TEST(CampaignSpecDeprecated, KeysAreAcceptedButNeverWrittenOrListed) {
-  // Old spec files carry `tier` (the removed fast tier) and `pipeline`
-  // (the removed executor choice); they still load, to the same campaign,
-  // with one note per key, and a junk value is still an error.
+  // Old spec files carry `tier` (the removed fast tier), `pipeline`
+  // (the removed executor choice), and `checkpoint` and
+  // `checkpoint_cache_mb` (the removed checkpoint cache); they still
+  // load, to the same campaign, with one note per key, and a junk value
+  // is still an error.
   struct Case {
-    std::string key, value, junk;
+    std::string key, toml_value, value, junk;
   };
   const CampaignSpec defaults;
-  for (const Case& c : {Case{"tier", "fast", "warp"},
-                        Case{"pipeline", "barrier", "turbo"}}) {
-    SCOPED_TRACE(c.key);
+  for (const Case& c :
+       {Case{"tier", "\"fast\"", "fast", "warp"},
+        Case{"pipeline", "\"barrier\"", "barrier", "turbo"},
+        Case{"checkpoint", "true", "true", "maybe"},
+        Case{"checkpoint", "false", "off", "maybe"},
+        Case{"checkpoint_cache_mb", "64", "0", "lots"}}) {
+    SCOPED_TRACE(c.key + " = " + c.toml_value);
     CampaignSpec old_file = CampaignSpec::from_toml_string(
-        "[campaign]\n" + c.key + " = \"" + c.value + "\"\n");
+        "[campaign]\n" + c.key + " = " + c.toml_value + "\n");
     EXPECT_EQ(old_file, defaults);
     ASSERT_EQ(old_file.deprecation_notes.size(), 1u);
     EXPECT_NE(old_file.deprecation_notes[0].find("'" + c.key +
@@ -254,6 +260,8 @@ TEST(CampaignSpecDeprecated, KeysAreAcceptedButNeverWrittenOrListed) {
     EXPECT_EQ(std::find(keys.begin(), keys.end(), c.key), keys.end());
     old_file.set(c.key, c.value);
     EXPECT_EQ(old_file.deprecation_notes.size(), 1u);  // one note per key
+    EXPECT_NO_THROW(old_file.validate());
+    EXPECT_EQ(old_file, defaults);
     EXPECT_THROW(old_file.set(c.key, c.junk), SpecError);
   }
 }

@@ -6,9 +6,8 @@
 //     well-formed (validated with the serve layer's own JSON parser).
 //
 //  2. Result-neutrality — a campaign's CampaignResult is bit-identical
-//     with metrics/tracing on or off, across jobs counts and both
-//     executors, and an interrupted run still materializes its pipeline
-//     stats. This is the load-bearing pin: every instrumentation site in
+//     with metrics/tracing on or off, across jobs counts, and an
+//     interrupted run still materializes its pipeline stats. This is the load-bearing pin: every instrumentation site in
 //     session/worker code is wall-clock-only by construction, and this
 //     differential catches any future site that forgets.
 #include <gtest/gtest.h>
@@ -19,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/report.hpp"
 #include "core/session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
@@ -156,10 +156,10 @@ TEST(ObsTrace, ChromeTraceIsWellFormedJson) {
   rec.set_lane_name(1, "merge strand");
   const auto t0 = obs::TraceRecorder::Clock::now();
   const auto t1 = t0 + std::chrono::microseconds(50);
-  rec.record(0, "execute", "pipeline", t0, t1, 7, {"cache_hit", 1});
+  rec.record(0, "execute", "pipeline", t0, t1, 7);
   rec.record(1, "merge", "pipeline", t1, t1 + std::chrono::microseconds(3),
              7);
-  rec.record(0, "checkpoint_resume", "sim", t0, t1, 8, {"resume_cycle", 24});
+  rec.record(1, "generate", "pipeline", t0, t1, 8, {"assigned_worker", 0});
   EXPECT_EQ(rec.size(), 3u);
   EXPECT_EQ(rec.dropped(), 0u);
 
@@ -184,7 +184,7 @@ TEST(ObsTrace, ChromeTraceIsWellFormedJson) {
       EXPECT_NE(e.find("ts"), nullptr);
       EXPECT_NE(e.find("dur"), nullptr);
       if (const serve::Json* args = e.find("args")) {
-        if (args->find("cache_hit") != nullptr) saw_args = true;
+        if (args->find("assigned_worker") != nullptr) saw_args = true;
       }
     }
   }
@@ -205,6 +205,24 @@ TEST(ObsTrace, RingOverwritesOldestAndReportsDrops) {
   rec.write_chrome_trace(out);
   const serve::Json doc = serve::parse_json(out.str());
   ASSERT_EQ(doc.kind, serve::Json::Kind::kObject);
+  // The kept window is the newest 1024 spans, oldest first.
+  std::vector<double> kept;
+  for (const serve::Json& e : doc.find("traceEvents")->items) {
+    const serve::Json* ph = e.find("ph");
+    if (ph == nullptr || ph->text != "X") continue;
+    kept.push_back(e.find("args")->find("iteration")->number);
+  }
+  ASSERT_EQ(kept.size(), 1024u);
+  EXPECT_EQ(kept.front(), 476.0);
+  EXPECT_EQ(kept.back(), 1499.0);
+
+  // A ring that never filled holds exactly what was recorded.
+  obs::TraceRecorder part(1, 8);
+  for (int i = 0; i < 10; ++i) {
+    part.record(0, "span", "pipeline", t0, t0, static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(part.size(), 10u);
+  EXPECT_EQ(part.dropped(), 0u);
 }
 
 // -------------------------------------------------------------- prometheus --
@@ -320,36 +338,64 @@ TEST(ObsNeutrality, ResultsIdenticalWithMetricsAndTracingOnOrOff) {
 }
 
 TEST(ObsNeutrality, MetricsSnapshotMatchesCampaign) {
-  core::CampaignSpec spec;
-  spec.rng_seed = 3;
-  spec.jobs = 2;
-  spec.budget.iterations = 40;
-  core::Session session(spec);
-  const core::CampaignResult result = session.run();
+  std::string reference;
+  for (const bool metrics : {true, false}) {
+    SCOPED_TRACE(metrics ? "metrics on" : "metrics off");
+    core::CampaignSpec spec;
+    spec.rng_seed = 3;
+    spec.jobs = 2;
+    spec.budget.iterations = 40;
+    spec.metrics = metrics;
+    core::Session session(spec);
+    const core::CampaignResult result = session.run();
+    core::CampaignResult timeless = result;
+    timeless.seconds = 0;
+    const std::string report = core::json_report(timeless, 64, nullptr);
+    if (reference.empty()) reference = report;
+    EXPECT_EQ(report, reference);
 
-  const obs::Snapshot snap = session.metrics_snapshot();
-  EXPECT_EQ(snap.counter_value("campaign/iterations"),
-            result.history.size());
-  const obs::CounterSnapshot* jobs_done = snap.counter("worker/jobs");
-  ASSERT_NE(jobs_done, nullptr);
-  EXPECT_EQ(jobs_done->total, result.history.size());
-  // Cache-hit/miss partition the served jobs.
-  EXPECT_EQ(snap.counter_value("checkpoint/cache_hits") +
-                snap.counter_value("checkpoint/cache_misses"),
-            result.history.size());
-  const obs::HistogramSnapshot* exec = snap.histogram("hist/execute_ns");
-  ASSERT_NE(exec, nullptr);
-  EXPECT_EQ(exec->count, result.history.size());
-  EXPECT_GT(exec->percentile(50), 0.0);
+    const obs::Snapshot snap = session.metrics_snapshot();
+    EXPECT_EQ(snap.counter_value("campaign/iterations"),
+              result.history.size());
+    const obs::CounterSnapshot* jobs_done = snap.counter("worker/jobs");
+    ASSERT_NE(jobs_done, nullptr);
+    EXPECT_EQ(jobs_done->total, result.history.size());
 
-  // PipelineStats is a view over the same registry: the two surfaces
-  // must agree on per-worker job counts.
-  const core::PipelineStats& stats = session.pipeline_stats();
-  std::uint64_t stats_jobs = 0;
-  for (const core::PipelineWorkerStats& ws : stats.workers) {
-    stats_jobs += ws.jobs;
+    // The simulator counters (kept with metrics on or off): every
+    // simulated cycle is accounted, and only runs that reached
+    // max_cycles can have been capped there.
+    std::uint64_t cycles = 0;
+    std::uint64_t at_cap = 0;
+    for (const core::IterationRecord& rec : result.history) {
+      cycles += rec.cycles;
+      at_cap += rec.cycles == spec.core.max_cycles ? 1 : 0;
+    }
+    const std::uint64_t capped = snap.counter_value("sim/capped_runs");
+    EXPECT_EQ(snap.counter_value("sim/cycles"), cycles);
+    EXPECT_LE(capped, at_cap);
+    EXPECT_LE(capped, jobs_done->total);
+    EXPECT_GT(capped, 0u) << "seed 3 runs into max_cycles";
+
+    // PipelineStats is a view over the same registry: the two surfaces
+    // must agree on per-worker job counts and the simulator counters.
+    const core::PipelineStats& stats = session.pipeline_stats();
+    std::uint64_t stats_jobs = 0;
+    for (const core::PipelineWorkerStats& ws : stats.workers) {
+      stats_jobs += ws.jobs;
+    }
+    EXPECT_EQ(stats_jobs, jobs_done->total);
+    EXPECT_EQ(stats.sim_cycles, cycles);
+    EXPECT_EQ(stats.capped_runs, capped);
+
+    const obs::HistogramSnapshot* exec = snap.histogram("hist/execute_ns");
+    if (metrics) {
+      ASSERT_NE(exec, nullptr);
+      EXPECT_EQ(exec->count, result.history.size());
+      EXPECT_GT(exec->percentile(50), 0.0);
+    } else {
+      EXPECT_EQ(exec, nullptr);
+    }
   }
-  EXPECT_EQ(stats_jobs, jobs_done->total);
 }
 
 TEST(ObsNeutrality, InterruptedRunStillMaterializesStats) {

@@ -104,6 +104,35 @@ TEST(Pipeline, ThreadedMatchesInlineFullSeed9) {
   EXPECT_FALSE(expect_threaded_matches_inline("full", 80, 9).vulns.empty());
 }
 
+TEST(Pipeline, DeprecatedCheckpointKeysLeaveResultsUnchanged) {
+  // The removed checkpoint cache's keys are still accepted as no-ops:
+  // old invocations carrying them run the same campaign at jobs 1 and
+  // 4, on the presets and seeds its differential suite pinned.
+  struct Case {
+    const char* preset;
+    std::uint64_t iterations, seed;
+  };
+  for (const Case& c : {Case{"default", 200, 7}, Case{"full", 120, 9}}) {
+    SCOPED_TRACE(c.preset);
+    const CampaignResult reference =
+        run_campaign(c.preset, 1, c.iterations, c.seed);
+    if (std::string(c.preset) == "full") {
+      EXPECT_FALSE(reference.vulns.empty());
+    }
+    for (const std::size_t jobs : {1u, 4u}) {
+      for (const char* checkpoint : {"on", "off"}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs) +
+                     " checkpoint=" + checkpoint);
+        CampaignSpec spec = make_spec(c.preset, jobs, c.iterations, c.seed);
+        spec.set("checkpoint", checkpoint);
+        spec.set("checkpoint_cache_mb", "1");
+        Session session(std::move(spec));
+        expect_identical(reference, session.run());
+      }
+    }
+  }
+}
+
 TEST(Pipeline, InOrderMergeUnderAdversarialWorkerDelays) {
   // Per-job pseudo-random delays force completions back into the merger
   // far out of iteration order; the reorder window must still merge in

@@ -165,14 +165,27 @@ TEST(CampaignState, CompletedStateResumesToStoredResultWithoutRerun) {
   EXPECT_EQ(normalized_report(result), expected);
 }
 
+constexpr std::size_t kStatePrefix = 8 + 4;  // magic + format version
+constexpr std::size_t kStateHeader = kStatePrefix + 8 + 8;  // + length + sum
+
+/// Frame `payload` under `bytes`' magic and version with a fresh length
+/// and checksum, as a writer of that payload would have.
+std::string reframed(const std::string& bytes, std::string_view payload) {
+  ByteWriter out;
+  out.bytes(bytes.data(), kStatePrefix);
+  out.u64(payload.size());
+  out.u64(fnv1a(payload.data(), payload.size()));
+  out.bytes(payload.data(), payload.size());
+  return out.take();
+}
+
 /// Insert `line` into the [campaign] section of a state image's embedded
 /// spec and re-frame the payload (length + checksum), producing the file
 /// a build that still wrote that key would have left behind.
 std::string with_campaign_line(const std::string& bytes,
                                const std::string& line) {
-  constexpr std::size_t kPrefix = 8 + 4;  // magic + format version
-  constexpr std::size_t kHeader = kPrefix + 8 + 8;  // + length + checksum
-  const std::string_view payload = std::string_view(bytes).substr(kHeader);
+  const std::string_view payload =
+      std::string_view(bytes).substr(kStateHeader);
   ByteReader r(payload);
   std::string toml = r.str("embedded spec");
   const std::string section = "[campaign]\n";
@@ -183,19 +196,59 @@ std::string with_campaign_line(const std::string& bytes,
   ByteWriter rebuilt;
   rebuilt.str(toml);
   rebuilt.bytes(payload.data() + r.pos(), r.remaining());
-  ByteWriter out;
-  out.bytes(bytes.data(), kPrefix);
-  out.u64(rebuilt.size());
-  out.u64(fnv1a(rebuilt.data().data(), rebuilt.size()));
-  out.bytes(rebuilt.data().data(), rebuilt.size());
-  return out.take();
+  return reframed(bytes, rebuilt.data());
+}
+
+/// The state-file encoding of one in-flight job, including the locality
+/// bytes (has_parent, parent program, parent hash, divergence) that the
+/// removed checkpoint cache used.
+std::string job_bytes(const fuzz::FuzzJob& job, bool has_parent,
+                      const riscv::Program& parent, std::uint64_t parent_hash,
+                      std::uint64_t divergence) {
+  ByteWriter w;
+  const auto program = [&w](const riscv::Program& p) {
+    w.u64(p.code.size());
+    for (const std::uint32_t word : p.code) w.u32(word);
+    w.str(std::string_view(reinterpret_cast<const char*>(p.data.data()),
+                           p.data.size()));
+  };
+  w.u64(job.iteration);
+  program(job.program);
+  w.u64(job.rng_seed);
+  w.u8(has_parent ? 1 : 0);
+  program(parent);
+  w.u64(parent_hash);
+  w.u64(divergence);
+  return w.take();
+}
+
+/// Rewrite the first in-flight job of a state image the way a build with
+/// the checkpoint cache wrote it: has_parent = 1 and a non-empty parent
+/// program, re-framed with a fresh length and checksum.
+std::string with_parent_locality(const std::string& bytes) {
+  const CampaignState state = decode_state(bytes, "test");
+  EXPECT_FALSE(state.frontier.in_flight.empty());
+  EXPECT_FALSE(state.frontier.fuzzer.corpus.empty());
+  const fuzz::FuzzJob& job = state.frontier.in_flight.front();
+  const std::string cold = job_bytes(job, false, riscv::Program{}, 0, 0);
+  const std::string warm =
+      job_bytes(job, true, state.frontier.fuzzer.corpus.front().program,
+                0x9e3779b97f4a7c15ull, 3);
+  std::string payload = bytes.substr(kStateHeader);
+  const std::size_t at = payload.find(cold);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(payload.find(cold, at + 1), std::string::npos);
+  payload.replace(at, cold.size(), warm);
+  return reframed(bytes, payload);
 }
 
 TEST(CampaignState, DeprecatedKeysInStateResumeBitIdentically) {
   // State files written by older builds embed `tier = ...` (the removed
-  // fast tier) and `pipeline = ...` (the removed executor choice); both
-  // keys are now no-ops, and such a file must still decode and resume to
-  // the uninterrupted result.
+  // fast tier), `pipeline = ...` (the removed executor choice) and
+  // `checkpoint` / `checkpoint_cache_mb` (the removed checkpoint cache),
+  // and their in-flight jobs carry the cache's parent locality. All of
+  // it is now a no-op: such a file must still decode and resume to the
+  // uninterrupted result.
   const core::CampaignSpec spec = small_spec("full", 20, 9, 2);
   core::Session uninterrupted(spec);
   std::vector<std::string> states;
@@ -204,14 +257,14 @@ TEST(CampaignState, DeprecatedKeysInStateResumeBitIdentically) {
   });
   const std::string expected = normalized_report(uninterrupted.run());
   ASSERT_FALSE(states.empty());
+  const std::string mid = with_parent_locality(states[states.size() / 2]);
 
-  for (const char* line : {"tier = \"fast\"", "tier = \"detailed\"",
-                           "pipeline = \"window\"",
-                           "pipeline = \"barrier\""}) {
+  for (const char* line :
+       {"tier = \"fast\"", "tier = \"detailed\"", "pipeline = \"window\"",
+        "pipeline = \"barrier\"", "checkpoint = true",
+        "checkpoint = false", "checkpoint_cache_mb = 64"}) {
     SCOPED_TRACE(line);
-    const std::string old_bytes =
-        with_campaign_line(states[states.size() / 2], line);
-    CampaignState state = decode_state(old_bytes, "test");
+    CampaignState state = decode_state(with_campaign_line(mid, line), "test");
     EXPECT_EQ(state.spec, spec);
     EXPECT_EQ(state.spec.deprecation_notes.size(), 1u);
     core::Session resumed(resume_spec(state, state.spec));
@@ -364,6 +417,95 @@ TEST(StateRejectionAtResume, UnfittingCoverageIsRefusedNamingTheFile) {
             std::string::npos)
       << lp;
   EXPECT_NE(lp.find(path), std::string::npos) << lp;
+
+  // The unedited state still resumes: only the edits are refused.
+  write_file(path, mid);
+  CampaignState state = load_state_file(path);
+  core::Session resumed(resume_spec(state, state.spec));
+  EXPECT_NO_THROW(resumed.resume_from(std::move(state.frontier)));
+}
+
+/// Checksum-valid states whose frontier cursors are inconsistent, each
+/// re-encoded with a fresh length and checksum: a duplicated or gapped
+/// in-flight iteration would map two jobs onto one window slot, and a
+/// pending waveform past the findings list would index out of bounds, so
+/// every fault must be refused at resume, naming the file.
+TEST(StateRejectionAtResume, BrokenFrontierCursorsAreRefusedNamingTheFile) {
+  core::CampaignSpec spec = small_spec("full", 40, 9, 2);
+  spec.vcd_out = ::testing::TempDir() + "serve_cursor_vcd";
+  core::Session session(spec);
+  std::vector<std::string> states;
+  session.on_frontier([&](const core::CampaignFrontier& f) {
+    if (!f.completed) states.push_back(encode_state(spec, f));
+  });
+  session.run();
+  ASSERT_FALSE(states.empty());
+  const std::string mid = states[states.size() / 2];
+  const std::string path = ::testing::TempDir() + "serve_cursor_reject.state";
+  {
+    const CampaignState state = decode_state(mid, "test");
+    ASSERT_GE(state.frontier.in_flight.size(), 2u);
+    ASSERT_GT(state.frontier.merged, 0u);
+    ASSERT_FALSE(state.frontier.pending_vcd.empty());
+  }
+
+  const auto resume_error =
+      [&](const std::function<void(core::CampaignFrontier&)>& edit) {
+        CampaignState edited = decode_state(mid, "test");
+        edit(edited.frontier);
+        write_file(path, encode_state(edited.spec, edited.frontier));
+        CampaignState state = load_state_file(path);
+        core::Session resumed(resume_spec(state, state.spec));
+        try {
+          resumed.resume_from(std::move(state.frontier));
+        } catch (const std::runtime_error& e) {
+          return std::string(e.what());
+        }
+        ADD_FAILURE() << "resume_from accepted a broken frontier";
+        return std::string();
+      };
+  const auto expect_refused = [&](const std::string& message,
+                                  const std::string& names) {
+    EXPECT_NE(message.find(path), std::string::npos) << message;
+    EXPECT_NE(message.find(names), std::string::npos) << message;
+  };
+
+  expect_refused(resume_error([](core::CampaignFrontier& f) { ++f.merged; }),
+                 "iterations merged, but its history holds");
+  expect_refused(resume_error([](core::CampaignFrontier& f) {
+                   f.in_flight[1].iteration = f.in_flight[0].iteration;
+                 }),
+                 "in-flight job 2 of");
+  expect_refused(resume_error([](core::CampaignFrontier& f) {
+                   ++f.in_flight.back().iteration;
+                 }),
+                 "in-flight jobs must be iterations");
+  expect_refused(resume_error([&](core::CampaignFrontier& f) {
+                   while (f.in_flight.size() <= spec.batch_size) {
+                     fuzz::FuzzJob extra = f.in_flight.back();
+                     ++extra.iteration;
+                     f.in_flight.push_back(extra);
+                     ++f.fuzzer.iteration;
+                   }
+                 }),
+                 "more than the batch size " +
+                     std::to_string(spec.batch_size));
+  expect_refused(resume_error([](core::CampaignFrontier& f) {
+                   ++f.fuzzer.iteration;
+                 }),
+                 "fuzzer cursor");
+  expect_refused(resume_error([](core::CampaignFrontier& f) {
+                   f.pending_vcd.back().vuln_end = f.result.vulns.size() + 1;
+                 }),
+                 "pending waveform for findings");
+  expect_refused(resume_error([&](core::CampaignFrontier& f) {
+                   ASSERT_FALSE(f.fuzzer.corpus.empty());
+                   while (f.fuzzer.corpus.size() <= spec.fuzzer.corpus_max) {
+                     f.fuzzer.corpus.push_back(f.fuzzer.corpus.front());
+                   }
+                 }),
+                 "more than corpus_max = " +
+                     std::to_string(spec.fuzzer.corpus_max));
 
   // The unedited state still resumes: only the edits are refused.
   write_file(path, mid);

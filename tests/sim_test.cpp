@@ -546,31 +546,6 @@ TEST(Coverage, MergeCountsNewPointsLikeSetDifference) {
   }
 }
 
-TEST(Coverage, RunFromMatchesColdRunAtEveryCheckpointAcrossConfigs) {
-  for (const char* preset : {"default", "full", "zenbleed", "mwait"}) {
-    SCOPED_TRACE(preset);
-    CoreConfig cfg;
-    ASSERT_TRUE(lookup_core_preset(preset, cfg));
-    const Simulator sim(cfg);
-    util::Rng rng(99);
-    std::size_t resumes = 0;
-    for (int i = 0; i < 6; ++i) {
-      const Program p = riscv::random_program(rng, 16 + rng.below(100));
-      RunResult cold(&sim.signal_db());
-      std::vector<Checkpoint> checkpoints;
-      sim.run(p, CheckpointOptions{}, checkpoints, cold);
-      for (const Checkpoint& cp : checkpoints) {
-        RunResult resumed(&sim.signal_db());
-        sim.run_from(cp, cold.trace, cold.commits, p, resumed);
-        EXPECT_EQ(resumed.coverage.points(), cold.coverage.points());
-        EXPECT_EQ(resumed.coverage.toggle_bits(), cold.coverage.toggle_bits());
-        ++resumes;
-      }
-    }
-    EXPECT_GT(resumes, 10u);
-  }
-}
-
 TEST(Sim, CommitLogMatchesCommittedCount) {
   ProgramBuilder b;
   b.li(T0, 3).addi(T0, T0, 1).ecall();

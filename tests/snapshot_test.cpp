@@ -281,6 +281,37 @@ TEST(Trace, EmptyWindowNoChanges) {
   EXPECT_EQ(counts[0], 0u);
 }
 
+TEST(Trace, ResetKeepsSchemaDropsData) {
+  // Workers reset one Trace per job instead of reallocating it; a reset
+  // trace must record exactly like a fresh one.
+  const SignalDb db = make_db();
+  const auto record = [](Trace& t) {
+    for (std::uint64_t c = 1; c <= 80; ++c) {
+      t.begin_cycle(c);
+      t.record(0, c % 4);
+      t.record(1, c % 3);
+      t.record(2, c % 2);
+    }
+  };
+  Trace t(&db);
+  record(t);
+  EXPECT_GT(t.event_count(), 0u);
+  t.reset();
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.event_count(), 0u);
+  record(t);
+  Trace fresh(&db);
+  record(fresh);
+  ASSERT_EQ(t.size(), fresh.size());
+  ASSERT_EQ(t.event_count(), fresh.event_count());
+  for (std::size_t e = 0; e < t.event_count(); ++e) {
+    EXPECT_EQ(t.event_id(e), fresh.event_id(e));
+    EXPECT_EQ(t.event_value(e), fresh.event_value(e));
+  }
+  EXPECT_EQ(t[t.size() - 1].values, fresh[fresh.size() - 1].values);
+  EXPECT_EQ(t.memory_bytes(), fresh.memory_bytes());
+}
+
 TEST(Vcd, ContainsHeaderAndChanges) {
   const SignalDb db = make_db();
   Trace t(&db);

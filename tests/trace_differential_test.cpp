@@ -450,30 +450,21 @@ TEST(TraceDifferential, DirtyCaptureMatchesDenseSweepAcrossConfigs) {
   }
 }
 
-TEST(TraceDifferential, CheckpointResumeMidKeyframeMatchesColdRun) {
-  // A resumed run's first captured cycle relies on the forked trace's
-  // live array plus that cycle's own dirty marks — no full re-sweep. The
-  // 24-cycle cadence forces checkpoints off the 64-tick keyframe grid,
-  // so the fork lands mid-keyframe (the replay-heavy path).
-  sim::Simulator s{sim::CoreConfig{}};
-  for (const auto& program : corpus()) {
-    sim::RunResult cold(&s.signal_db());
-    s.run(program, cold);
-    sim::CheckpointOptions opts;
-    opts.interval = 24;
-    std::vector<sim::Checkpoint> checkpoints;
-    sim::RunResult parent(&s.signal_db());
-    s.run(program, opts, checkpoints, parent);
-    std::size_t tested = 0;
-    for (const auto& ck : checkpoints) {
-      if (ck.cycle % 64 == 0) continue;  // keyframe-aligned: easy case
-      sim::RunResult resumed(&s.signal_db());
-      s.run_from(ck, parent.trace, parent.commits, program, resumed);
-      SCOPED_TRACE("checkpoint cycle " + std::to_string(ck.cycle));
-      expect_bit_identical(resumed, cold);
-      if (++tested == 3) break;  // bound test cost per program
-    }
-    EXPECT_GT(tested, 0u) << "no mid-keyframe checkpoint was saved";
+TEST(TraceDifferential, ReusedRunResultMatchesFreshRun) {
+  // Campaign workers run every job into one scratch RunResult, keeping
+  // the previous run's buffers. Running the corpus forwards and then
+  // backwards through one reused RunResult leaves each run on top of a
+  // longer and of a shorter predecessor; every run must still equal a
+  // fresh one.
+  const sim::Simulator s{preset_cfg("full")};
+  std::vector<riscv::Program> programs = corpus();
+  const std::vector<riscv::Program> forwards = programs;
+  programs.insert(programs.end(), forwards.rbegin(), forwards.rend());
+  sim::RunResult reused(&s.signal_db());
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    s.run(programs[i], reused);
+    expect_bit_identical(reused, s.run(programs[i]));
   }
 }
 

@@ -240,11 +240,23 @@ int report_and_exit_code(const core::CampaignResult& result,
                 "  vcd %.3fs\n",
                 stats.generate_seconds, stats.merge_seconds,
                 stats.result_wait_seconds, stats.vcd_seconds);
+    std::uint64_t runs = 0;
     for (std::size_t w = 0; w < stats.workers.size(); ++w) {
       const core::PipelineWorkerStats& ws = stats.workers[w];
+      runs += ws.jobs;
       std::printf("  worker %zu: %llu jobs  execute %.3fs  queue-wait %.3fs\n",
                   w, static_cast<unsigned long long>(ws.jobs),
                   ws.execute_seconds, ws.queue_wait_seconds);
+    }
+    if (runs != 0) {
+      std::printf("  sim: %.1f cycles/run  capped at max_cycles: %llu of "
+                  "%llu runs (%.1f%%)\n",
+                  static_cast<double>(stats.sim_cycles) /
+                      static_cast<double>(runs),
+                  static_cast<unsigned long long>(stats.capped_runs),
+                  static_cast<unsigned long long>(runs),
+                  100.0 * static_cast<double>(stats.capped_runs) /
+                      static_cast<double>(runs));
     }
     // Latency percentiles from the session's metrics registry (log2
     // histogram estimates; registered unless the spec set metrics=false).
