@@ -7,6 +7,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -116,6 +117,50 @@ class BenchJson {
   std::vector<std::pair<std::string, double>> metrics_;
   bool flushed_ = false;
 };
+
+/// Median, min and max of a sample.
+struct Spread {
+  double median = 0, min = 0, max = 0;
+};
+
+inline Spread spread(std::vector<double> xs) {
+  if (xs.empty()) return {};
+  std::sort(xs.begin(), xs.end());
+  return {xs[xs.size() / 2], xs.front(), xs.back()};
+}
+
+/// The repeat-and-interleave protocol of the gated benches. A single run
+/// of a ~1 s campaign swings by ±20–35% on a shared 4-vCPU VM, so a gate
+/// compares medians over rounds, never single runs. Each round calls
+/// `measure(side)` once per side 0..sides-1, forwards in even rounds and
+/// backwards in odd ones, so slow drift in the host's load does not
+/// favour one side. Runs max(rounds, kMinRounds) rounds and returns
+/// out[round][side].
+inline constexpr std::size_t kMinRounds = 7;
+
+template <typename Measure>
+std::vector<std::vector<double>> interleaved_rounds(std::size_t sides,
+                                                    Measure&& measure,
+                                                    std::size_t rounds =
+                                                        kMinRounds) {
+  rounds = std::max(rounds, kMinRounds);
+  std::vector<std::vector<double>> out(rounds, std::vector<double>(sides));
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t k = 0; k < sides; ++k) {
+      const std::size_t side = r % 2 == 0 ? k : sides - 1 - k;
+      out[r][side] = measure(side);
+    }
+  }
+  return out;
+}
+
+/// Spread of the per-round ratio out[r][num] / out[r][den].
+inline Spread ratio_spread(const std::vector<std::vector<double>>& rounds,
+                           std::size_t num, std::size_t den) {
+  std::vector<double> ratios;
+  for (const auto& round : rounds) ratios.push_back(round[num] / round[den]);
+  return spread(std::move(ratios));
+}
 
 /// Iteration at which a campaign first produced a finding whose key
 /// contains `pattern`; 0 when never found.

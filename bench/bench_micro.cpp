@@ -1,10 +1,15 @@
 // E7: engineering micro-benchmarks (google-benchmark) for the performance-
 // critical kernels: simulation, snapshot handling, IFG construction, PDLC
-// extraction (both directions), mutation, and LP-coverage accounting.
+// extraction (both directions), mutation, the leakage detector's window
+// pass, and LP-coverage accounting.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <string>
 
 #include "bench_common.hpp"
 #include "core/coverage_calc.hpp"
+#include "core/leakage.hpp"
 #include "core/mst.hpp"
 #include "core/offline.hpp"
 #include "fuzz/mutator.hpp"
@@ -67,17 +72,27 @@ void BM_TraceWindowMask(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceWindowMask);
 
-void BM_TraceMaterialize(benchmark::State& state) {
+void BM_DetectLeakage(benchmark::State& state) {
+  // The first fixed-seed program whose run has >= 8 misspeculated windows.
   util::Rng rng(3);
-  const auto run = shared_simulator().run(riscv::random_program(rng, 96));
-  std::uint64_t c = 1;
-  const std::uint64_t last = run.trace.cycle_at(run.trace.size() - 1);
+  sim::RunResult run(&shared_simulator().signal_db());
+  std::vector<core::SpecWindow> windows;
+  const auto mispredicted = [](const core::SpecWindow& w) {
+    return w.mispredicted;
+  };
+  do {
+    shared_simulator().run(riscv::random_program(rng, 96), run);
+    windows = core::extract_mst(run.trace);
+  } while (std::count_if(windows.begin(), windows.end(), mispredicted) < 8);
+  const auto tainted = run.trace.db().id_of("core.lsu.tainted_access");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run.trace.at_cycle(1 + (c * 37) % last));
-    ++c;
+    benchmark::DoNotOptimize(
+        core::detect_leakage(run.trace, windows, tainted).size());
   }
+  state.SetLabel(std::to_string(run.trace.size()) + " cycles, " +
+                 std::to_string(windows.size()) + " windows");
 }
-BENCHMARK(BM_TraceMaterialize);
+BENCHMARK(BM_DetectLeakage);
 
 void BM_IfgBuild(benchmark::State& state) {
   const sim::CoreConfig cfg;

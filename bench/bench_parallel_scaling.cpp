@@ -11,12 +11,11 @@
 // Scaling gate: on hosts with >= 4 hardware threads, jobs=4 must reach at
 // least 2x the jobs=1 throughput. One short row pair is too
 // noisy to gate on (0.94-3.12x across runs of the same build at 400
-// iterations), so the gate runs kGatePairs interleaved jobs=1 / jobs=4
-// pairs of kGateIters iterations each and gates on the median pair
-// speedup, printing the min and max beside it. On smaller hosts the
+// iterations), so the gate runs bench::interleaved_rounds of one jobs=1
+// and one jobs=4 campaign of kGateIters iterations each and gates on the
+// median per-round speedup, printing the min and max beside it. On smaller hosts the
 // extra workers just time-slice one core, so the gate is skipped with a
 // visible notice instead of reporting a fake failure.
-#include <algorithm>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -110,60 +109,51 @@ int main(int argc, char** argv) {
                 " hardware thread(s); the >= 2x jobs=4 check needs >= 4");
     return 0;
   }
-  constexpr std::size_t kGatePairs = 5;
   constexpr std::uint64_t kGateIters = 2000;
-  const auto gate_ips = [&](std::size_t jobs) {
+  std::printf("  scaling gate: %zu interleaved jobs=1/jobs=4 rounds, %llu "
+              "iterations each\n",
+              bench::kMinRounds, static_cast<unsigned long long>(kGateIters));
+  const std::size_t kGateJobs[] = {1, 4};
+  std::size_t gate_lp = 0;
+  bool deterministic = true;
+  const auto rounds = bench::interleaved_rounds(2, [&](std::size_t side) {
     core::CampaignSpec spec;
     spec.rng_seed = 1;
-    spec.jobs = jobs;
+    spec.jobs = kGateJobs[side];
     spec.batch_size = kBatch;
     spec.budget.iterations = kGateIters;
     const core::CampaignResult result = bench::run_spec(spec);
-    return std::make_pair(
-        static_cast<double>(result.history.size()) / result.seconds,
-        result.history.back().covered_pdlc);
-  };
-  std::printf("  scaling gate: %zu interleaved jobs=1/jobs=4 pairs, %llu "
-              "iterations each\n",
-              kGatePairs, static_cast<unsigned long long>(kGateIters));
-  std::vector<double> speedups;
-  std::size_t gate_lp = 0;
-  for (std::size_t pair = 0; pair < kGatePairs; ++pair) {
-    // Alternate which side runs first, so slow drift in the host's
-    // background load does not favour one side.
-    const bool serial_first = pair % 2 == 0;
-    const auto first = gate_ips(serial_first ? 1 : 4);
-    const auto second = gate_ips(serial_first ? 4 : 1);
-    const auto& serial = serial_first ? first : second;
-    const auto& parallel = serial_first ? second : first;
-    if (pair == 0) gate_lp = serial.second;
-    if (serial.second != gate_lp || parallel.second != gate_lp) {
-      std::printf("  !! determinism violation in gate pair %zu: lp-cov "
-                  "%zu / %zu != %zu\n",
-                  pair, serial.second, parallel.second, gate_lp);
-      return 1;
+    const std::size_t lp = result.history.back().covered_pdlc;
+    if (gate_lp == 0) gate_lp = lp;
+    if (lp != gate_lp) {
+      std::printf("  !! determinism violation at jobs=%zu: lp-cov %zu != "
+                  "%zu\n",
+                  kGateJobs[side], lp, gate_lp);
+      deterministic = false;
     }
-    speedups.push_back(parallel.first / serial.first);
-    std::printf("    pair %zu: jobs=1 %.1f iters/sec, jobs=4 %.1f "
+    return static_cast<double>(result.history.size()) / result.seconds;
+  });
+  if (!deterministic) return 1;
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    std::printf("    round %zu: jobs=1 %.1f iters/sec, jobs=4 %.1f "
                 "iters/sec, %.2fx\n",
-                pair, serial.first, parallel.first, speedups.back());
+                r, rounds[r][0], rounds[r][1], rounds[r][1] / rounds[r][0]);
   }
-  std::sort(speedups.begin(), speedups.end());
-  const double median = speedups[speedups.size() / 2];
-  json.metric("speedup_jobs4", median);
-  json.metric("speedup_jobs4_min", speedups.front());
-  json.metric("speedup_jobs4_max", speedups.back());
-  json.metric("gate_pairs", kGatePairs);
+  const bench::Spread speedup = bench::ratio_spread(rounds, 1, 0);
+  json.metric("speedup_jobs4", speedup.median);
+  json.metric("speedup_jobs4_min", speedup.min);
+  json.metric("speedup_jobs4_max", speedup.max);
+  json.metric("gate_pairs", static_cast<double>(rounds.size()));
   json.metric("gate_iterations", kGateIters);
-  if (median < 2.0) {
+  if (speedup.median < 2.0) {
     std::printf("  !! scaling gate FAILED: median jobs=4 speedup %.2fx "
                 "(min %.2fx, max %.2fx; need >= 2.00x on %u hardware "
                 "threads)\n",
-                median, speedups.front(), speedups.back(), hw);
+                speedup.median, speedup.min, speedup.max, hw);
     return 1;
   }
   std::printf("  scaling gate passed: median jobs=4 speedup %.2fx (min "
               "%.2fx, max %.2fx)\n",
-              median, speedups.front(), speedups.back());
+              speedup.median, speedup.min, speedup.max);
   return 0;
 }

@@ -1,13 +1,14 @@
 // Trace-layer micro-bench: dense reference recorder vs the delta-native
 // trace on the default MiniBOOM preset. Reports per-run trace memory
 // (dense vs delta, the ≥5× headline), recording+analysis throughput on
-// both paths, and random-access materialization cost — the numbers quoted
-// in docs/ARCHITECTURE.md.
+// both paths, and the leakage detector's per-run window pass — the
+// numbers quoted in docs/ARCHITECTURE.md.
 #include <chrono>
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "core/coverage_calc.hpp"
+#include "core/leakage.hpp"
 #include "core/mst.hpp"
 #include "core/offline.hpp"
 #include "riscv/program.hpp"
@@ -102,22 +103,32 @@ int main(int argc, char** argv) {
   json.metric("dense_runs_per_sec", programs.size() / dense_s);
   json.metric("delta_runs_per_sec", programs.size() / delta_s);
 
-  // ---- random access ------------------------------------------------------
+  // ---- leakage detector: one forward pass per run -----------------------
   {
     sim::Simulator sim{sim::CoreConfig{}};
-    const sim::RunResult run = sim.run(programs[0]);
-    const std::uint64_t last = run.trace.cycle_at(run.trace.size() - 1);
-    const std::size_t kLookups = 20000;
+    std::vector<sim::RunResult> runs;
+    std::vector<std::vector<core::SpecWindow>> windows;
+    std::size_t analyzed = 0;
+    for (const auto& p : programs) {
+      runs.push_back(sim.run(p));
+      windows.push_back(core::extract_mst(runs.back().trace));
+      for (const auto& w : windows.back()) analyzed += w.mispredicted;
+    }
+    const auto tainted = sim.signal_db().id_of("core.lsu.tainted_access");
+    constexpr std::size_t kPasses = 50;
+    std::size_t sink = 0;
     const auto t0 = clock::now();
-    std::uint64_t sink = 0;
-    for (std::size_t i = 0; i < kLookups; ++i) {
-      sink += run.trace.at_cycle(1 + (i * 37) % last).values[0];
+    for (std::size_t pass = 0; pass < kPasses; ++pass) {
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        sink += core::detect_leakage(runs[i].trace, windows[i], tainted).size();
+      }
     }
     const double s = std::chrono::duration<double>(clock::now() - t0).count();
-    std::printf("  %-26s %10.2f us/lookup  (keyframed, %zu-cycle trace)\n",
-                "at_cycle materialize:", 1e6 * s / kLookups,
-                run.trace.size());
-    json.metric("at_cycle_us_per_lookup", 1e6 * s / kLookups);
+    const double us_per_run = 1e6 * s / (kPasses * runs.size());
+    std::printf("  %-26s %10.2f us/run  (%.1f misspeculated windows/run)\n",
+                "detect_leakage pass:", us_per_run,
+                static_cast<double>(analyzed) / runs.size());
+    json.metric("detect_leakage_us_per_run", us_per_run);
     if (sink == 0x12345678) std::printf(" ");  // keep the loop observable
   }
   json.metric("peak_rss_kib", static_cast<double>(bench::peak_rss_kib()));

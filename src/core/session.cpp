@@ -308,9 +308,6 @@ CampaignResult Session::run() {
   pipeline_stats_ = PipelineStats{};
   pipeline_stats_.workers.resize(jobs);
   const auto now = [] { return std::chrono::steady_clock::now(); };
-  const auto secs = [](std::chrono::steady_clock::duration d) {
-    return std::chrono::duration<double>(d).count();
-  };
   const auto to_ns = [](std::chrono::steady_clock::duration d) {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
@@ -330,7 +327,7 @@ CampaignResult Session::run() {
   }
   obs::Registry& reg = *metrics_;
   struct {
-    obs::Counter generate, merge, result_wait, vcd;     // merge strand
+    obs::Counter generate, merge, result_wait;          // merge strand
     obs::Counter execute, queue_wait, jobs_done;        // per worker
     obs::Counter iterations, findings;
     obs::Gauge covered_pdlc, coverage_points;
@@ -340,7 +337,9 @@ CampaignResult Session::run() {
   o.generate = reg.counter("stage/generate_ns");
   o.merge = reg.counter("stage/merge_ns");
   o.result_wait = reg.counter("stage/result_wait_ns");
-  o.vcd = reg.counter("stage/vcd_ns");
+  // drain_waveforms() adds to it; registered here so every export lists
+  // the stage even when nothing is drained.
+  reg.counter("stage/vcd_ns");
   o.execute = reg.counter("worker/execute_ns");
   o.queue_wait = reg.counter("worker/queue_wait_ns");
   o.jobs_done = reg.counter("worker/jobs");
@@ -858,128 +857,93 @@ CampaignResult Session::run() {
     for (auto& [sink, interval] : frontier_sinks_) sink(frontier);
   }
 
-  // Deferred waveform export, off the merge strand. One waveform per
-  // confirmed (post-dedup) finding. The worker's trace is gone by merge
-  // time, so the program is re-simulated once on the session simulator —
-  // same config, same seed-free cold core, hence the identical trace —
-  // and only the vulnerability window is written. Merge order pinned the
-  // pending list, so the file set is deterministic across jobs. The
-  // scenario name prefixes the file so concurrent Sweep scenarios can
-  // share one vcd_out directory without colliding.
-  if (!pending_vcd.empty()) {
-    const auto v0 = now();
-    for (const PendingWaveform& pending : pending_vcd) {
-      const sim::RunResult rerun = sim_.run(pending.program);
-      for (std::size_t v = pending.vuln_begin; v < pending.vuln_end; ++v) {
-        const SpecWindow& w = merger.result().vulns[v].window;
-        snapshot::write_vcd_window_file(
-            spec_.vcd_out + "/" + sanitized_scenario_name(spec_.name) +
-                "_vuln_iter" + std::to_string(pending.iteration) + "_" +
-                std::to_string(v) + ".vcd",
-            rerun.trace, w.start_cycle, w.end_cycle);
-      }
-    }
-    const auto v1 = now();
-    o.vcd.add(merge_lane_, to_ns(v1 - v0));
-    if (tracing) {
-      tracer_->record(merge_lane_, "vcd_drain", "pipeline", v0, v1);
-    }
-    // The stats view above was built before this drain ran; patch the
-    // wall clock in directly so the --stats footer still accounts it.
-    pipeline_stats_.vcd_seconds += secs(v1 - v0);
-  }
+  // Deferred waveform export, off the merge strand (drain_waveforms).
+  drain_waveforms(pending_vcd, merger.result().vulns);
 
   flush_trace();
 
   CampaignResult result = merger.take_result();
   result.seconds = elapsed();
 
-  // Post-campaign triage: minimize every confirmed finding (and package
-  // repro bundles under `full`). Runs strictly after the campaign loop on
-  // the already-merged findings, so the CampaignResult above is identical
+  // Post-campaign triage strictly after the campaign loop, on the
+  // already-merged findings, so the CampaignResult above is identical
   // whether triage is on or off.
-  triage_report_.reset();
-  if (spec_.triage != TriageMode::kOff && !result.vulns.empty()) {
-    std::vector<triage::TriageInput> inputs;
-    inputs.reserve(result.vulns.size());
-    for (const VulnReport& v : result.vulns) {
-      inputs.push_back({dedup_key(v), v.program});
-    }
-    triage::TriageOptions options;
-    options.mode = spec_.triage;
-    options.out_dir = spec_.triage_out;
-    // The campaign's batch-size clip on `jobs` does not apply here:
-    // minimization rounds fan out dozens of candidates regardless of the
-    // batch shape, so triage gets the spec's raw worker request (0 = all
-    // hardware threads, resolved by the Minimizer).
-    options.jobs = spec_.jobs;
-    triage_report_ = std::make_unique<triage::TriageReport>(triage::run_triage(
-        spec_, offline_, inputs, options,
-        [this](const triage::MinimizedEvent& event) {
-          for (const auto& fn : minimized_observers_) fn(event);
-        }));
-  }
+  run_triage(result.vulns);
   return result;
 }
 
 void Session::finalize_interrupted() {
   if (!paused_ || !resume_) return;
   const CampaignFrontier& f = *resume_;
-
-  // Drain the frontier's deferred waveforms (same re-simulation scheme as
-  // the completed path; the frontier pinned the pending list at the merge
-  // boundary, so the file set matches what the resumed campaign will
-  // eventually write for these findings). The drain is timed into the
-  // same stage counter / span / --stats field the completed path uses —
-  // an interrupted run's footer accounts its waveform cost too.
-  if (!spec_.vcd_out.empty() && !f.pending_vcd.empty()) {
-    const auto v0 = std::chrono::steady_clock::now();
-    for (const PendingWaveform& pending : f.pending_vcd) {
-      const sim::RunResult rerun = sim_.run(pending.program);
-      for (std::size_t v = pending.vuln_begin; v < pending.vuln_end; ++v) {
-        const SpecWindow& w = f.result.vulns[v].window;
-        snapshot::write_vcd_window_file(
-            spec_.vcd_out + "/" + sanitized_scenario_name(spec_.name) +
-                "_vuln_iter" + std::to_string(pending.iteration) + "_" +
-                std::to_string(v) + ".vcd",
-            rerun.trace, w.start_cycle, w.end_cycle);
-      }
-    }
-    const auto v1 = std::chrono::steady_clock::now();
-    const auto drained =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(v1 - v0);
-    if (metrics_ != nullptr) {
-      metrics_->counter("stage/vcd_ns")
-          .add(merge_lane_, static_cast<std::uint64_t>(drained.count()));
-    }
-    pipeline_stats_.vcd_seconds +=
-        std::chrono::duration<double>(drained).count();
-    if (tracer_ != nullptr && !spec_.trace_out.empty()) {
-      tracer_->record(merge_lane_, "vcd_drain", "pipeline", v0, v1);
-      std::ofstream out(spec_.trace_out,
-                        std::ios::trunc | std::ios::binary);
-      tracer_->write_chrome_trace(out);
-    }
+  // The frontier pinned the pending list at the merge boundary, so the
+  // file set matches what the resumed campaign will eventually write for
+  // these findings. The truncated segment's trace was flushed at the
+  // pause; rewrite it so it shows the drain too.
+  if (drain_waveforms(f.pending_vcd, f.result.vulns) && tracer_ != nullptr) {
+    std::ofstream out(spec_.trace_out, std::ios::trunc | std::ios::binary);
+    tracer_->write_chrome_trace(out);
   }
-
   // Triage the findings confirmed so far.
-  triage_report_.reset();
-  if (spec_.triage != TriageMode::kOff && !f.result.vulns.empty()) {
-    std::vector<triage::TriageInput> inputs;
-    inputs.reserve(f.result.vulns.size());
-    for (const VulnReport& v : f.result.vulns) {
-      inputs.push_back({dedup_key(v), v.program});
+  run_triage(f.result.vulns);
+}
+
+bool Session::drain_waveforms(const std::vector<PendingWaveform>& pending,
+                              const std::vector<VulnReport>& vulns) {
+  if (spec_.vcd_out.empty() || pending.empty()) return false;
+  // One waveform per confirmed finding. The worker's trace is gone by
+  // merge time, so the program is re-simulated on the session simulator
+  // (same config, cold core, hence the identical trace) and only the
+  // vulnerability window is written. Merge order pinned the pending list,
+  // so the file set is deterministic across jobs; the scenario name
+  // prefix keeps concurrent Sweep scenarios from colliding.
+  const auto v0 = std::chrono::steady_clock::now();
+  for (const PendingWaveform& p : pending) {
+    const sim::RunResult rerun = sim_.run(p.program);
+    for (std::size_t v = p.vuln_begin; v < p.vuln_end; ++v) {
+      const SpecWindow& w = vulns[v].window;
+      snapshot::write_vcd_window_file(
+          spec_.vcd_out + "/" + sanitized_scenario_name(spec_.name) +
+              "_vuln_iter" + std::to_string(p.iteration) + "_" +
+              std::to_string(v) + ".vcd",
+          rerun.trace, w.start_cycle, w.end_cycle);
     }
-    triage::TriageOptions options;
-    options.mode = spec_.triage;
-    options.out_dir = spec_.triage_out;
-    options.jobs = spec_.jobs;
-    triage_report_ = std::make_unique<triage::TriageReport>(triage::run_triage(
-        spec_, offline_, inputs, options,
-        [this](const triage::MinimizedEvent& event) {
-          for (const auto& fn : minimized_observers_) fn(event);
-        }));
   }
+  const auto v1 = std::chrono::steady_clock::now();
+  // The run's stats view was built before the drain: patch it in.
+  const auto drained =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(v1 - v0);
+  if (metrics_ != nullptr) {
+    metrics_->counter("stage/vcd_ns")
+        .add(merge_lane_, static_cast<std::uint64_t>(drained.count()));
+  }
+  if (tracer_ != nullptr) {
+    tracer_->record(merge_lane_, "vcd_drain", "pipeline", v0, v1);
+  }
+  pipeline_stats_.vcd_seconds += std::chrono::duration<double>(drained).count();
+  return true;
+}
+
+void Session::run_triage(const std::vector<VulnReport>& vulns) {
+  // Minimize every confirmed finding (and package repro bundles under
+  // `full`).
+  triage_report_.reset();
+  if (spec_.triage == TriageMode::kOff || vulns.empty()) return;
+  std::vector<triage::TriageInput> inputs;
+  inputs.reserve(vulns.size());
+  for (const VulnReport& v : vulns) inputs.push_back({dedup_key(v), v.program});
+  triage::TriageOptions options;
+  options.mode = spec_.triage;
+  options.out_dir = spec_.triage_out;
+  // The campaign's batch-size clip on `jobs` does not apply here:
+  // minimization rounds fan out dozens of candidates regardless of the
+  // batch shape, so triage gets the spec's raw worker request (0 = all
+  // hardware threads, resolved by the Minimizer).
+  options.jobs = spec_.jobs;
+  triage_report_ = std::make_unique<triage::TriageReport>(triage::run_triage(
+      spec_, offline_, inputs, options,
+      [this](const triage::MinimizedEvent& event) {
+        for (const auto& fn : minimized_observers_) fn(event);
+      }));
 }
 
 }  // namespace specure::core

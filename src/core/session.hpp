@@ -309,6 +309,15 @@ class Session {
   }
 
  private:
+  /// Re-simulate each pending waveform's program and write its findings'
+  /// windows under spec.vcd_out, timed into stage/vcd_ns, a vcd_drain
+  /// span and the --stats footer. Returns whether anything was drained.
+  bool drain_waveforms(const std::vector<PendingWaveform>& pending,
+                       const std::vector<VulnReport>& vulns);
+  /// Rebuild triage_report() from `vulns` (reset when triage is off or
+  /// nothing was found).
+  void run_triage(const std::vector<VulnReport>& vulns);
+
   CampaignSpec spec_;
   OfflineResult offline_;
   sim::Simulator sim_;

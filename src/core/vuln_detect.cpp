@@ -104,8 +104,8 @@ std::vector<RootCause> VulnerabilityDetector::find_root_causes(
 std::vector<VulnReport> VulnerabilityDetector::analyze(
     const sim::RunResult& run, const std::vector<SpecWindow>& windows) const {
   std::vector<VulnReport> reports;
-  const auto leaks = detect_leakage(run.trace, windows);
   const auto tainted_id = db_.find("core.lsu.tainted_access");
+  const auto leaks = detect_leakage(run.trace, windows, tainted_id);
 
   for (const auto& leak : leaks) {
     const std::uint64_t from = leak.window.start_cycle;
@@ -146,27 +146,22 @@ std::vector<VulnReport> VulnerabilityDetector::analyze(
       window_reports.push_back(std::move(rep));
     }
 
-    if (options_.monitor_cache && cache_changed &&
-        tainted_id != snapshot::kInvalidSignal) {
-      // Spectre mode: a tainted (secret-derived-address) speculative
-      // access inside this squashed window left persistent cache residue.
-      // Pulse detection walks the signal's change events in (from, to]
-      // instead of materializing every in-window snapshot.
-      if (run.trace.any_nonzero(tainted_id, from, to)) {
-        VulnReport rep;
-        rep.kind = VulnKind::kCacheResidue;
-        rep.window = leak.window;
-        rep.sink_signal = "core.dcache";
-        for (const auto& delta : leak.deltas) {
-          const auto& info = db_.info(delta.id);
-          if (util::starts_with(info.name, "core.dcache.") &&
-              rep.root_causes.size() < 8) {
-            rep.root_causes.push_back(
-                {info.name, {"core.lsu.addr", info.name}});
-          }
+    // Spectre mode: a tainted (secret-derived-address) speculative access
+    // inside this squashed window (the leakage pass's pulse flag) left
+    // persistent cache residue.
+    if (options_.monitor_cache && cache_changed && leak.pulse) {
+      VulnReport rep;
+      rep.kind = VulnKind::kCacheResidue;
+      rep.window = leak.window;
+      rep.sink_signal = "core.dcache";
+      for (const auto& delta : leak.deltas) {
+        const auto& info = db_.info(delta.id);
+        if (util::starts_with(info.name, "core.dcache.") &&
+            rep.root_causes.size() < 8) {
+          rep.root_causes.push_back({info.name, {"core.lsu.addr", info.name}});
         }
-        window_reports.push_back(std::move(rep));
       }
+      window_reports.push_back(std::move(rep));
     }
 
     for (auto& rep : window_reports) {

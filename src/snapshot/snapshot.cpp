@@ -35,22 +35,13 @@ std::uint64_t toggle_count(const Snapshot& a, const Snapshot& b) {
 // ------------------------------------------------------------------ Trace --
 
 void Trace::begin_cycle(std::uint64_t cycle) {
-  if (!cycles_.empty()) {
-    if (cycle <= cycles_.back()) {
-      throw std::runtime_error(
-          "trace: cycles must be strictly increasing (got " +
-          std::to_string(cycle) + " after " + std::to_string(cycles_.back()) +
-          ")");
-    }
-    if (cycle != cycles_.back() + 1) contiguous_ = false;
+  if (!cycles_.empty() && cycle <= cycles_.back()) {
+    throw std::runtime_error(
+        "trace: cycles must be strictly increasing (got " +
+        std::to_string(cycle) + " after " + std::to_string(cycles_.back()) +
+        ")");
   }
   if (live_.empty()) live_.assign(db_->size(), 0);
-  // The previous tick is now complete; keyframe it on the interval grid so
-  // keyframes_[k] always holds the state after tick k * kKeyframeInterval.
-  const std::size_t done = cycles_.size();
-  if (done >= 1 && (done - 1) % kKeyframeInterval == 0) {
-    keyframes_.insert(keyframes_.end(), live_.begin(), live_.end());
-  }
   cycles_.push_back(cycle);
   offsets_.push_back(event_ids_.size());
 }
@@ -94,8 +85,6 @@ void Trace::reset() {
   event_ids_.clear();
   event_values_.clear();
   live_.clear();
-  keyframes_.clear();
-  contiguous_ = true;
 }
 
 std::size_t Trace::memory_bytes() const {
@@ -105,28 +94,12 @@ std::size_t Trace::memory_bytes() const {
   bytes += cycles_.size() * sizeof(std::uint64_t);
   bytes += offsets_.size() * sizeof(std::size_t);
   bytes += live_.size() * sizeof(std::uint64_t);
-  bytes += keyframes_.size() * sizeof(std::uint64_t);
   return bytes;
 }
 
-std::size_t Trace::find_index(std::uint64_t cycle) const {
-  if (cycles_.empty()) return static_cast<std::size_t>(-1);
-  if (contiguous_) {
-    if (cycle < cycles_.front() || cycle > cycles_.back()) {
-      return static_cast<std::size_t>(-1);
-    }
-    return static_cast<std::size_t>(cycle - cycles_.front());
-  }
+std::size_t Trace::index_of(std::uint64_t cycle) const {
   const auto it = std::lower_bound(cycles_.begin(), cycles_.end(), cycle);
   if (it == cycles_.end() || *it != cycle) {
-    return static_cast<std::size_t>(-1);
-  }
-  return static_cast<std::size_t>(it - cycles_.begin());
-}
-
-std::size_t Trace::index_of(std::uint64_t cycle) const {
-  const std::size_t idx = find_index(cycle);
-  if (idx == static_cast<std::size_t>(-1)) {
     std::string msg = "trace: no snapshot for cycle " + std::to_string(cycle);
     if (cycles_.empty()) {
       msg += " (trace is empty)";
@@ -136,22 +109,7 @@ std::size_t Trace::index_of(std::uint64_t cycle) const {
     }
     throw std::runtime_error(msg);
   }
-  return idx;
-}
-
-std::size_t Trace::seed_from_keyframe(std::size_t index,
-                                      std::vector<std::uint64_t>& out) const {
-  const std::size_t n = db_->size();
-  std::size_t k = index / kKeyframeInterval;
-  const std::size_t frames = keyframe_count();
-  if (k >= frames && frames > 0) k = frames - 1;
-  if (k < frames) {
-    out.assign(keyframes_.begin() + static_cast<std::ptrdiff_t>(k * n),
-               keyframes_.begin() + static_cast<std::ptrdiff_t>((k + 1) * n));
-    return k * kKeyframeInterval + 1;
-  }
-  out.assign(n, 0);
-  return 0;
+  return static_cast<std::size_t>(it - cycles_.begin());
 }
 
 void Trace::materialize(std::size_t index,
@@ -160,11 +118,9 @@ void Trace::materialize(std::size_t index,
     out = live_;
     return;
   }
-  std::size_t tick = seed_from_keyframe(index, out);
-  for (; tick <= index; ++tick) {
-    for (std::size_t e = tick_begin(tick); e < tick_end(tick); ++e) {
-      out[event_ids_[e]] = event_values_[e];
-    }
+  out.assign(db_->size(), 0);
+  for (std::size_t e = 0; e < tick_end(index); ++e) {
+    out[event_ids_[e]] = event_values_[e];
   }
 }
 
@@ -183,54 +139,6 @@ Snapshot Trace::operator[](std::size_t index) const {
   return snap;
 }
 
-std::uint64_t Trace::value_at(std::uint64_t cycle, SignalId id) const {
-  const std::size_t index = index_of(cycle);
-  if (index + 1 == cycles_.size()) return live_[id];
-  std::size_t k = index / kKeyframeInterval;
-  const std::size_t frames = keyframe_count();
-  if (k >= frames && frames > 0) k = frames - 1;
-  std::uint64_t v = 0;
-  std::size_t tick = 0;
-  if (k < frames) {
-    v = keyframes_[k * db_->size() + id];
-    tick = k * kKeyframeInterval + 1;
-  }
-  for (; tick <= index; ++tick) {
-    for (std::size_t e = tick_begin(tick); e < tick_end(tick); ++e) {
-      if (event_ids_[e] == id) v = event_values_[e];
-    }
-  }
-  return v;
-}
-
-std::vector<SignalDelta> Trace::diff(std::uint64_t from,
-                                     std::uint64_t to) const {
-  const std::size_t a = index_of(from);
-  const std::size_t b = index_of(to);
-  if (b < a) throw std::runtime_error("trace diff: to-cycle before from-cycle");
-  std::vector<std::uint64_t> before;
-  materialize(a, before);
-
-  // Signals touched by any event in ticks (a, b] are the only diff
-  // candidates; a signal that changed and changed back is filtered by the
-  // value comparison below.
-  std::vector<SignalId> touched;
-  for (std::size_t tick = a + 1; tick <= b; ++tick) {
-    touched.insert(touched.end(), event_ids_.begin() + tick_begin(tick),
-                   event_ids_.begin() + tick_end(tick));
-  }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-
-  std::vector<std::uint64_t> after;
-  materialize(b, after);
-  std::vector<SignalDelta> out;
-  for (const SignalId id : touched) {
-    if (before[id] != after[id]) out.push_back({id, before[id], after[id]});
-  }
-  return out;
-}
-
 std::pair<std::size_t, std::size_t> Trace::window_ticks(
     std::uint64_t from, std::uint64_t to) const {
   const auto lo = std::upper_bound(cycles_.begin(), cycles_.end(), from);
@@ -238,18 +146,6 @@ std::pair<std::size_t, std::size_t> Trace::window_ticks(
   const auto first = static_cast<std::size_t>(lo - cycles_.begin());
   const auto end = static_cast<std::size_t>(hi - cycles_.begin());
   return {first == 0 ? 1 : first, end};
-}
-
-std::vector<std::uint32_t> Trace::change_counts(std::uint64_t from,
-                                                std::uint64_t to) const {
-  std::vector<std::uint32_t> counts(db_->size(), 0);
-  const auto [first, end] = window_ticks(from, to);
-  for (std::size_t tick = first; tick < end; ++tick) {
-    for (std::size_t e = tick_begin(tick); e < tick_end(tick); ++e) {
-      ++counts[event_ids_[e]];
-    }
-  }
-  return counts;
 }
 
 void Trace::changed_words(std::uint64_t from, std::uint64_t to,
@@ -262,21 +158,6 @@ void Trace::changed_words(std::uint64_t from, std::uint64_t to,
       out[id / 64] |= std::uint64_t{1} << (id % 64);
     }
   }
-}
-
-bool Trace::any_nonzero(SignalId id, std::uint64_t from,
-                        std::uint64_t to) const {
-  const std::size_t a = index_of(from);
-  std::uint64_t v = value_at(from, id);
-  auto hi = std::upper_bound(cycles_.begin(), cycles_.end(), to);
-  const std::size_t end = static_cast<std::size_t>(hi - cycles_.begin());
-  for (std::size_t tick = a + 1; tick < end; ++tick) {
-    for (std::size_t e = tick_begin(tick); e < tick_end(tick); ++e) {
-      if (event_ids_[e] == id) v = event_values_[e];
-    }
-    if (v != 0) return true;
-  }
-  return false;
 }
 
 // ------------------------------------------------------------- DenseTrace --
@@ -298,26 +179,18 @@ const Snapshot& DenseTrace::at_cycle(std::uint64_t cycle) const {
   return snaps_[lo];
 }
 
-std::vector<std::uint32_t> DenseTrace::change_counts(std::uint64_t from,
-                                                     std::uint64_t to) const {
-  std::vector<std::uint32_t> counts(db_->size(), 0);
+std::vector<bool> DenseTrace::changed_mask(std::uint64_t from,
+                                           std::uint64_t to) const {
+  std::vector<bool> mask(db_->size(), false);
   for (std::size_t i = 1; i < snaps_.size(); ++i) {
     const std::uint64_t c = snaps_[i].cycle;
     if (c <= from || c > to) continue;  // transitions inside (from, to]
     const auto& prev = snaps_[i - 1].values;
     const auto& cur = snaps_[i].values;
-    for (SignalId s = 0; s < counts.size(); ++s) {
-      counts[s] += prev[s] != cur[s];
+    for (SignalId s = 0; s < mask.size(); ++s) {
+      if (prev[s] != cur[s]) mask[s] = true;
     }
   }
-  return counts;
-}
-
-std::vector<bool> DenseTrace::changed_mask(std::uint64_t from,
-                                           std::uint64_t to) const {
-  const auto counts = change_counts(from, to);
-  std::vector<bool> mask(counts.size());
-  for (std::size_t i = 0; i < counts.size(); ++i) mask[i] = counts[i] > 0;
   return mask;
 }
 

@@ -1,4 +1,4 @@
-// Delta-native run traces, snapshot materialization and window diffing.
+// Delta-native run traces, snapshot materialization and window queries.
 // These are the data the Leakage Detector (§3.2) consumes: the diff between
 // the microarchitectural state at the start and end of a misspeculated
 // window yields the potential information-leakage locations.
@@ -6,11 +6,12 @@
 // The paper's Online Phase is built on diffing per-cycle snapshots, but
 // only a handful of signals change per cycle — so Trace records
 // (cycle, signal, new_value) change events instead of materializing one
-// full value vector per cycle. Memory is O(changes + keyframes) instead of
-// O(cycles × signals), and every window query (diff, change_counts,
-// changed_words) walks only the events inside the window. Periodic
-// keyframes (one full value vector every kKeyframeInterval ticks) keep
-// random-access materialization O(1) amortized.
+// full value vector per cycle. Memory is O(changes) instead of
+// O(cycles × signals). Every consumer walks the events forward: MST
+// extraction and the leakage detector (core::detect_leakage) make one pass
+// over the whole run, and the LP probe's changed_words walks only the
+// events inside one window. Random access (at_cycle, operator[]) replays
+// the events from the first tick; only VCD export and tests use it.
 //
 // DenseTrace is the retained dense reference recorder: one full Snapshot
 // per cycle, the pre-delta representation. The simulator can record both
@@ -50,7 +51,7 @@ std::vector<SignalDelta> diff(const Snapshot& a, const Snapshot& b);
 std::uint64_t toggle_count(const Snapshot& a, const Snapshot& b);
 
 /// A delta-native run trace: an ordered stream of per-tick change events
-/// against an implicit all-zero pre-reset state, plus periodic keyframes.
+/// against an implicit all-zero pre-reset state.
 ///
 /// Recording (the simulator hot loop):
 ///   trace.begin_cycle(cycle);
@@ -63,10 +64,6 @@ std::uint64_t toggle_count(const Snapshot& a, const Snapshot& b);
 /// increasing across ticks — both are enforced.
 class Trace {
  public:
-  /// One full value vector is kept every this many ticks, bounding the
-  /// event replay a random-access materialization has to do.
-  static constexpr std::size_t kKeyframeInterval = 64;
-
   explicit Trace(const SignalDb* db) : db_(db) {}
 
   // ---- recording --------------------------------------------------------
@@ -114,39 +111,22 @@ class Trace {
   std::size_t event_count() const { return event_ids_.size(); }
 
   /// Approximate heap footprint of the recorded trace (events, tick index,
-  /// keyframes, live array) — the number the trace bench reports against
-  /// the dense O(cycles × signals) representation.
+  /// live array) — the number the trace bench reports against the dense
+  /// O(cycles × signals) representation.
   std::size_t memory_bytes() const;
 
-  // ---- materialization --------------------------------------------------
-  /// Full snapshot at a recorded cycle. O(1) for contiguous cycle stamps
-  /// (O(log n) otherwise) to locate the tick, then O(signals + events
-  /// since the nearest keyframe) to materialize. Throws std::runtime_error
-  /// naming the cycle and the covered range when the cycle was never
-  /// recorded.
+  // ---- materialization (VCD export, tests) -------------------------------
+  /// Full snapshot at a recorded cycle: O(log ticks) to locate the tick,
+  /// then a replay of every event up to it (the last tick reads the live
+  /// array directly). Throws std::runtime_error naming the cycle and the
+  /// covered range when the cycle was never recorded.
   Snapshot at_cycle(std::uint64_t cycle) const;
 
   /// Full snapshot of the i-th recorded tick (by value — the dense vector
-  /// is materialized on demand).
+  /// is materialized on demand by the same replay).
   Snapshot operator[](std::size_t index) const;
 
-  /// One signal's value at a recorded cycle, without materializing the
-  /// rest of the snapshot.
-  std::uint64_t value_at(std::uint64_t cycle, SignalId id) const;
-
   // ---- window queries (the Online Phase detectors) -----------------------
-  /// Signals whose value differs between the snapshots at cycles `from`
-  /// and `to`, ascending by id — identical to diff(at_cycle(from),
-  /// at_cycle(to)) but computed from the events between the two ticks.
-  std::vector<SignalDelta> diff(std::uint64_t from, std::uint64_t to) const;
-
-  /// Per-signal count of value *changes* (not bit toggles) at recorded
-  /// cycles c with from < c <= to. Used by the LP coverage calculator,
-  /// which asks how often PDLC signals toggled inside a speculative
-  /// window. Out-of-range windows yield zero counts.
-  std::vector<std::uint32_t> change_counts(std::uint64_t from,
-                                           std::uint64_t to) const;
-
   /// Set of signal ids with at least one change at a recorded cycle in
   /// (from, to], as a word bitset in a caller-owned buffer: bit (id % 64)
   /// of out[id / 64]. `out` is resized to ceil(signals / 64) words, so a
@@ -155,10 +135,6 @@ class Trace {
   /// inside the window).
   void changed_words(std::uint64_t from, std::uint64_t to,
                      std::vector<std::uint64_t>& out) const;
-
-  /// True iff `id`'s value is non-zero at any recorded cycle c with
-  /// from < c <= to (pulse detection, e.g. core.lsu.tainted_access).
-  bool any_nonzero(SignalId id, std::uint64_t from, std::uint64_t to) const;
 
   /// Walk every recorded tick in order, tracking the values of `ids`.
   /// `fn(cycle, tracked)` is called once per tick with tracked[i] holding
@@ -197,14 +173,8 @@ class Trace {
   /// Tick index of a recorded cycle; throws with the covered range when
   /// the cycle was never recorded.
   std::size_t index_of(std::uint64_t cycle) const;
-  /// Tick index of a recorded cycle, or npos when absent (no throw).
-  std::size_t find_index(std::uint64_t cycle) const;
   /// Materialize the values after tick `index` into `out`.
   void materialize(std::size_t index, std::vector<std::uint64_t>& out) const;
-  /// Seed `out` with the nearest keyframe at or before `index`; returns
-  /// the first tick whose events still need replaying.
-  std::size_t seed_from_keyframe(std::size_t index,
-                                 std::vector<std::uint64_t>& out) const;
 
   const SignalDb* db_;
   std::vector<std::uint64_t> cycles_;    ///< per tick: cycle stamp
@@ -214,15 +184,6 @@ class Trace {
   /// Values after the last recorded tick — the simulator's previous-value
   /// array that record() detects changes against.
   std::vector<std::uint64_t> live_;
-  /// Flat keyframe store, one frame of db_->size() values per
-  /// kKeyframeInterval ticks: frame k (values after tick
-  /// k * kKeyframeInterval) lives at [k * size, (k + 1) * size). Flat so
-  /// recording allocates one growing buffer, not one vector per frame.
-  std::vector<std::uint64_t> keyframes_;
-  std::size_t keyframe_count() const {
-    return db_->size() == 0 ? 0 : keyframes_.size() / db_->size();
-  }
-  bool contiguous_ = true;  ///< cycle stamps are base, base+1, base+2, ...
 };
 
 /// The dense reference recorder: the snapshot of every simulated cycle in
@@ -239,11 +200,9 @@ class DenseTrace {
   const Snapshot& operator[](std::size_t i) const { return snaps_[i]; }
   const SignalDb& db() const { return *db_; }
 
-  /// Same query semantics as Trace, computed the dense way (full per-tick
-  /// value-vector comparisons). changed_mask is Trace::changed_words with
-  /// one bool per signal — the reference the word query is pinned to.
-  std::vector<std::uint32_t> change_counts(std::uint64_t from,
-                                           std::uint64_t to) const;
+  /// Trace::changed_words computed the dense way (full per-tick
+  /// value-vector comparisons), one bool per signal — the reference the
+  /// word query is pinned to.
   std::vector<bool> changed_mask(std::uint64_t from, std::uint64_t to) const;
 
   std::size_t memory_bytes() const;

@@ -10,8 +10,9 @@
 //   - the taint path through the IFT graph (witness path length and the
 //     set of root-cause source *structures*),
 //   - the window's diff mask — the *unexplained* architectural deltas
-//     from Trace::diff across the window, with cycle offsets normalized
-//     out (only which signals leaked, never when or what value).
+//     the leakage pass (core::detect_leakage) found across the window,
+//     with cycle offsets normalized out (only which signals leaked, never
+//     when or what value).
 //
 // Everything value- and position-dependent (leaked data, absolute
 // cycles, window length, the program's address, per-entry structure

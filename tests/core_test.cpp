@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/coverage_calc.hpp"
 #include "core/leakage.hpp"
 #include "core/mst.hpp"
@@ -137,6 +140,86 @@ TEST(Leakage, SquashedWindowStillShowsMicroarchResidue) {
     dcache_delta |= name.rfind("core.dcache.", 0) == 0;
   }
   EXPECT_TRUE(dcache_delta) << "speculative cache fill must survive squash";
+}
+
+/// A three-signal trace pushed one full snapshot per cycle.
+struct SyntheticTrace {
+  explicit SyntheticTrace(
+      const std::vector<std::vector<std::uint64_t>>& ticks) {
+    db.add("core.a", 64);
+    db.add("core.b", 8);
+    db.add("core.c", 1);
+    for (std::size_t i = 0; i < ticks.size(); ++i) {
+      trace.push({i + 1, ticks[i]});  // cycles 1, 2, 3, ...
+    }
+  }
+  snapshot::SignalDb db;
+  snapshot::Trace trace{&db};
+};
+
+SpecWindow window(std::uint64_t from, std::uint64_t to) {
+  SpecWindow w;
+  w.start_cycle = from;
+  w.end_cycle = to;
+  w.mispredicted = true;
+  return w;
+}
+
+TEST(Leakage, WindowDeltasAreStartVersusEndValues) {
+  const SyntheticTrace t({{1, 0, 0}, {2, 5, 0}, {1, 5, 1}});
+  // Signal 0 changed and changed back inside [1, 3]: no delta.
+  const auto leaks = detect_leakage(t.trace, {window(1, 3)});
+  ASSERT_EQ(leaks.size(), 1u);
+  const auto& deltas = leaks[0].deltas;
+  ASSERT_EQ(deltas.size(), 2u);
+  EXPECT_EQ(deltas[0].id, 1u);
+  EXPECT_EQ(deltas[0].before, 0u);
+  EXPECT_EQ(deltas[0].after, 5u);
+  EXPECT_EQ(deltas[1].id, 2u);
+  EXPECT_EQ(deltas[1].before, 0u);
+  EXPECT_EQ(deltas[1].after, 1u);
+  EXPECT_TRUE(detect_leakage(t.trace, {window(2, 2)})[0].deltas.empty());
+  // Back to back: the second window's "before" is the first one's "after".
+  const auto pair = detect_leakage(t.trace, {window(1, 2), window(2, 3)});
+  ASSERT_EQ(pair.size(), 2u);
+  ASSERT_EQ(pair[0].deltas.size(), 2u);  // a 1 -> 2, b 0 -> 5
+  ASSERT_EQ(pair[1].deltas.size(), 2u);  // a 2 -> 1, c 0 -> 1
+  EXPECT_EQ(pair[1].deltas[0].before, 2u);
+  EXPECT_EQ(pair[1].deltas[0].after, 1u);
+  // Window boundaries must be recorded cycles.
+  EXPECT_THROW(detect_leakage(t.trace, {window(1, 9)}), std::runtime_error);
+  EXPECT_THROW(detect_leakage(t.trace, {window(0, 2)}), std::runtime_error);
+}
+
+TEST(Leakage, PulseFlagCoversStartExclusiveEndInclusive) {
+  const SyntheticTrace t({{0, 0, 0}, {0, 0, 1}, {0, 0, 0}, {0, 0, 0}});
+  // The pulse is at cycle 2 only.
+  EXPECT_TRUE(detect_leakage(t.trace, {window(1, 3)}, 2)[0].pulse);
+  EXPECT_FALSE(detect_leakage(t.trace, {window(2, 4)}, 2)[0].pulse);
+  EXPECT_FALSE(detect_leakage(t.trace, {window(1, 4)}, 0)[0].pulse);
+  EXPECT_FALSE(detect_leakage(t.trace, {window(1, 4)})[0].pulse);
+  const auto pair = detect_leakage(t.trace, {window(1, 2), window(2, 4)}, 2);
+  EXPECT_TRUE(pair[0].pulse);
+  EXPECT_FALSE(pair[1].pulse);
+}
+
+TEST(Leakage, OverlappingOrUnorderedWindowsAreRejected) {
+  const SyntheticTrace t({{1, 0, 0}, {2, 0, 0}, {3, 0, 0}, {4, 0, 0}});
+  try {
+    detect_leakage(t.trace, {window(1, 3), window(2, 4)});
+    FAIL() << "expected overlapping windows to throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("[2, 4]"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("[1, 3]"), std::string::npos);
+  }
+  EXPECT_THROW(detect_leakage(t.trace, {window(3, 4), window(1, 2)}),
+               std::invalid_argument);
+  EXPECT_THROW(detect_leakage(t.trace, {window(3, 2)}), std::invalid_argument);
+  // Correctly-predicted windows are not analyzed but still ordered.
+  SpecWindow predicted = window(2, 4);
+  predicted.mispredicted = false;
+  EXPECT_THROW(detect_leakage(t.trace, {window(1, 3), predicted}),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------- vuln detect --

@@ -170,9 +170,9 @@ TEST_P(SpecialSeedWindows, OpensMispredictedWindow) {
   const auto& db = sim.signal_db();
   const auto mid = db.id_of("core.rob.brupdate_mispredict");
   bool mispredicted = false;
-  for (std::size_t i = 0; i < res.trace.size(); ++i) {
-    mispredicted |= res.trace[i].values[mid] != 0;
-  }
+  res.trace.scan({mid}, [&](std::uint64_t, const auto& v) {
+    mispredicted |= v[0] != 0;
+  });
   EXPECT_TRUE(mispredicted) << seed.name;
 }
 

@@ -198,10 +198,10 @@ TEST(Sim, SpeculativeWindowVisibleInSnapshots) {
   const auto unsafe_id = db.id_of("core.rob.unsafe");
   const auto mispred_id = db.id_of("core.rob.brupdate_mispredict");
   bool saw_window = false, saw_mispredict = false;
-  for (std::size_t i = 0; i < res.trace.size(); ++i) {
-    saw_window |= res.trace[i].values[unsafe_id] != 0;
-    saw_mispredict |= res.trace[i].values[mispred_id] != 0;
-  }
+  res.trace.scan({unsafe_id, mispred_id}, [&](std::uint64_t, const auto& v) {
+    saw_window |= v[0] != 0;
+    saw_mispredict |= v[1] != 0;
+  });
   EXPECT_TRUE(saw_window);
   EXPECT_TRUE(saw_mispredict);
 }
@@ -224,9 +224,9 @@ TEST(Sim, SpecInstReportsWindowOpener) {
   const RunResult res = sim.run(p);
   const auto inst_id = sim.signal_db().id_of("core.rob.spec_inst");
   bool seen = false;
-  for (std::size_t i = 0; i < res.trace.size(); ++i) {
-    seen |= res.trace[i].values[inst_id] == branch_word;
-  }
+  res.trace.scan({inst_id}, [&](std::uint64_t, const auto& v) {
+    seen |= v[0] == branch_word;
+  });
   EXPECT_TRUE(seen);
 }
 
@@ -419,9 +419,17 @@ TEST(Sim, DeterministicAcrossRuns) {
   Simulator sim{CoreConfig{}};
   const RunResult r1 = sim.run(p);
   const RunResult r2 = sim.run(p);
+  // Identical event streams mean identical values at every tick.
   ASSERT_EQ(r1.trace.size(), r2.trace.size());
+  ASSERT_EQ(r1.trace.event_count(), r2.trace.event_count());
   for (std::size_t i = 0; i < r1.trace.size(); ++i) {
-    ASSERT_EQ(r1.trace[i].values, r2.trace[i].values) << "cycle " << i;
+    ASSERT_EQ(r1.trace.cycle_at(i), r2.trace.cycle_at(i)) << "tick " << i;
+    ASSERT_EQ(r1.trace.tick_end(i), r2.trace.tick_end(i)) << "tick " << i;
+  }
+  for (std::size_t e = 0; e < r1.trace.event_count(); ++e) {
+    ASSERT_EQ(r1.trace.event_id(e), r2.trace.event_id(e)) << "event " << e;
+    ASSERT_EQ(r1.trace.event_value(e), r2.trace.event_value(e))
+        << "event " << e;
   }
   EXPECT_EQ(r1.commits.size(), r2.commits.size());
 }

@@ -1,16 +1,19 @@
 // Trace differential suite: replay identical programs through the
 // retained dense reference recorder (CoreConfig::record_dense_trace) and
 // the delta-native Trace, and assert every query the Online Phase
-// detectors use answers identically — materialization, diff,
-// toggle-derived change counts, change masks, pulse detection — plus VCD
-// byte-equivalence, a golden-file round-trip through the reader, and the
-// indexed LP probe against the brute-force channel scan it replaced.
+// detectors use answers identically — materialization, the leakage
+// detector's window deltas and pulse flag, toggle coverage, change masks
+// — plus VCD byte-equivalence, a golden-file round-trip through the
+// reader, and the indexed LP probe against the brute-force channel scan
+// it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "core/coverage_calc.hpp"
+#include "core/leakage.hpp"
 #include "core/mst.hpp"
 #include "core/offline.hpp"
 #include "fuzz/seeds.hpp"
@@ -47,39 +50,136 @@ std::vector<riscv::Program> corpus() {
   return programs;
 }
 
+sim::CoreConfig preset_cfg(const std::string& name) {
+  sim::CoreConfig cfg;
+  EXPECT_TRUE(sim::lookup_core_preset(name, cfg)) << name;
+  return cfg;
+}
+
 TEST(TraceDifferential, EveryTickMaterializesIdentically) {
   for (const auto& program : corpus()) {
     const sim::RunResult run = dual_run(program);
     const snapshot::DenseTrace& dense = *run.dense_trace;
     ASSERT_EQ(run.trace.size(), dense.size());
-    for (std::size_t i = 0; i < dense.size(); ++i) {
-      const snapshot::Snapshot snap = run.trace[i];
-      ASSERT_EQ(snap.cycle, dense[i].cycle) << "tick " << i;
-      ASSERT_EQ(snap.values, dense[i].values) << "tick " << i;
+    // One forward walk tracking every signal yields each tick's full
+    // snapshot.
+    std::vector<snapshot::SignalId> all(run.trace.db().size());
+    std::iota(all.begin(), all.end(), snapshot::SignalId{0});
+    std::size_t i = 0;
+    run.trace.scan(all, [&](std::uint64_t cycle, const auto& values) {
+      ASSERT_EQ(cycle, dense[i].cycle) << "tick " << i;
+      ASSERT_EQ(values, dense[i].values) << "tick " << i;
+      ++i;
+    });
+    EXPECT_EQ(i, dense.size());
+    // Random access replays the same events: first, middle and last tick.
+    for (const std::size_t t : {std::size_t{0}, dense.size() / 2,
+                                dense.size() - 1}) {
+      EXPECT_EQ(run.trace[t].values, dense[t].values) << "tick " << t;
+      EXPECT_EQ(run.trace.at_cycle(dense[t].cycle).values, dense[t].values)
+          << "tick " << t;
     }
   }
 }
 
-TEST(TraceDifferential, WindowDiffMatchesDenseSnapshotDiff) {
-  for (const auto& program : corpus()) {
-    const sim::RunResult run = dual_run(program);
-    const snapshot::DenseTrace& dense = *run.dense_trace;
-    const auto windows = core::extract_mst(run.trace);
-    for (const auto& w : windows) {
-      const auto delta = run.trace.diff(w.start_cycle, w.end_cycle);
-      const auto ref = snapshot::diff(dense.at_cycle(w.start_cycle),
-                                      dense.at_cycle(w.end_cycle));
-      ASSERT_EQ(delta.size(), ref.size());
-      for (std::size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(delta[i].id, ref[i].id);
-        EXPECT_EQ(delta[i].before, ref[i].before);
-        EXPECT_EQ(delta[i].after, ref[i].after);
+/// The run's MST windows, every one treated as misspeculated so the
+/// detector analyzes them all.
+std::vector<core::SpecWindow> all_mispredicted(const snapshot::Trace& trace) {
+  std::vector<core::SpecWindow> windows = core::extract_mst(trace);
+  for (auto& w : windows) w.mispredicted = true;
+  return windows;
+}
+
+/// Back-to-back windows tiling the whole run: the first opens at the
+/// first tick, the last closes at the last tick, and one is empty.
+std::vector<core::SpecWindow> edge_windows(const snapshot::Trace& trace) {
+  const std::uint64_t first = trace.cycle_at(0);
+  const std::uint64_t last = trace.cycle_at(trace.size() - 1);
+  const std::uint64_t a = first + (last - first) / 3;
+  const std::uint64_t b = first + 2 * (last - first) / 3;
+  std::vector<core::SpecWindow> windows;
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+           {first, a}, {a, b}, {b, b}, {b, last}}) {
+    core::SpecWindow w;
+    w.start_cycle = from;
+    w.end_cycle = to;
+    w.mispredicted = true;
+    windows.push_back(w);
+  }
+  return windows;
+}
+
+/// detect_leakage against the dense oracle: each window's deltas equal
+/// snapshot::diff of the dense snapshots at its start and end, and its
+/// pulse flag is set iff the pulse signal is non-zero at a dense tick in
+/// (start, end].
+void expect_leakage_matches_dense(const sim::RunResult& run,
+                                  const std::vector<core::SpecWindow>& windows,
+                                  snapshot::SignalId pulse) {
+  const snapshot::DenseTrace& dense = *run.dense_trace;
+  const auto leaks = core::detect_leakage(run.trace, windows, pulse);
+  ASSERT_EQ(leaks.size(), windows.size());
+  for (std::size_t k = 0; k < windows.size(); ++k) {
+    const core::SpecWindow& w = windows[k];
+    SCOPED_TRACE("window [" + std::to_string(w.start_cycle) + ", " +
+                 std::to_string(w.end_cycle) + "]");
+    EXPECT_EQ(leaks[k].window.start_cycle, w.start_cycle);
+    const auto ref = snapshot::diff(dense.at_cycle(w.start_cycle),
+                                    dense.at_cycle(w.end_cycle));
+    ASSERT_EQ(leaks[k].deltas.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(leaks[k].deltas[i].id, ref[i].id);
+      EXPECT_EQ(leaks[k].deltas[i].before, ref[i].before);
+      EXPECT_EQ(leaks[k].deltas[i].after, ref[i].after);
+    }
+    bool ref_pulse = false;
+    for (std::size_t t = 0; t < dense.size() && pulse != snapshot::kInvalidSignal;
+         ++t) {
+      const std::uint64_t c = dense[t].cycle;
+      if (c > w.start_cycle && c <= w.end_cycle) {
+        ref_pulse |= dense[t].values[pulse] != 0;
+      }
+    }
+    EXPECT_EQ(leaks[k].pulse, ref_pulse);
+  }
+}
+
+TEST(TraceDifferential, DetectLeakageMatchesDenseOracle) {
+  std::size_t windows_checked = 0, deltas_checked = 0, pulses = 0;
+  for (const std::string& preset : sim::core_preset_names()) {
+    sim::CoreConfig cfg = preset_cfg(preset);
+    cfg.record_dense_trace = true;
+    const sim::Simulator sim(cfg);
+    const snapshot::SignalDb& db = sim.signal_db();
+    const snapshot::SignalId tainted = db.id_of("core.lsu.tainted_access");
+    const snapshot::SignalId mispred =
+        db.id_of("core.rob.brupdate_mispredict");
+    for (const auto& program : corpus()) {
+      const sim::RunResult run = sim.run(program);
+      SCOPED_TRACE(preset);
+      for (const auto& windows :
+           {all_mispredicted(run.trace), edge_windows(run.trace)}) {
+        for (const snapshot::SignalId pulse :
+             {tainted, mispred, snapshot::kInvalidSignal}) {
+          expect_leakage_matches_dense(run, windows, pulse);
+        }
+        for (const auto& leak :
+             core::detect_leakage(run.trace, windows, mispred)) {
+          ++windows_checked;
+          deltas_checked += leak.deltas.size();
+          pulses += leak.pulse;
+        }
       }
     }
   }
+  // The corpus must exercise the oracle, not pass vacuously.
+  EXPECT_GT(windows_checked, 100u);
+  EXPECT_GT(deltas_checked, 0u);
+  EXPECT_GT(pulses, 0u);
 }
 
-TEST(TraceDifferential, ChangeCountsAndMasksMatchDense) {
+TEST(TraceDifferential, ChangedWordsMatchDenseMask) {
   for (const auto& program : corpus()) {
     const sim::RunResult run = dual_run(program);
     const snapshot::DenseTrace& dense = *run.dense_trace;
@@ -93,9 +193,6 @@ TEST(TraceDifferential, ChangeCountsAndMasksMatchDense) {
     }
     std::vector<std::uint64_t> words;
     for (const auto& [from, to] : ranges) {
-      EXPECT_EQ(run.trace.change_counts(from, to),
-                dense.change_counts(from, to))
-          << "window [" << from << ", " << to << "]";
       const std::vector<bool> mask = dense.changed_mask(from, to);
       run.trace.changed_words(from, to, words);
       for (snapshot::SignalId id = 0; id < mask.size(); ++id) {
@@ -115,31 +212,6 @@ TEST(TraceDifferential, ToggleCoverageMatchesDenseRecomputation) {
       ref_toggles += snapshot::toggle_count(dense[i - 1], dense[i]);
     }
     EXPECT_EQ(run.coverage.toggle_bits(), ref_toggles);
-  }
-}
-
-TEST(TraceDifferential, AnyNonzeroMatchesDenseScan) {
-  for (const auto& program : corpus()) {
-    const sim::RunResult run = dual_run(program);
-    const snapshot::DenseTrace& dense = *run.dense_trace;
-    const auto id = run.trace.db().id_of("core.lsu.tainted_access");
-    const auto mispred = run.trace.db().id_of("core.rob.brupdate_mispredict");
-    const std::uint64_t last = run.trace.cycle_at(run.trace.size() - 1);
-    for (const snapshot::SignalId sig : {id, mispred}) {
-      for (const auto& [from, to] :
-           std::vector<std::pair<std::uint64_t, std::uint64_t>>{
-               {1, last}, {1, last / 2}, {last / 2, last}}) {
-        bool ref = false;
-        for (std::uint64_t c = from + 1; c <= to; ++c) {
-          if (dense.at_cycle(c).values[sig] != 0) {
-            ref = true;
-            break;
-          }
-        }
-        EXPECT_EQ(run.trace.any_nonzero(sig, from, to), ref)
-            << "signal " << sig << " window (" << from << ", " << to << "]";
-      }
-    }
   }
 }
 
@@ -343,7 +415,7 @@ TEST(TraceDifferential, VcdRoundTripRestoresEveryValue) {
   ASSERT_EQ(parsed.names.size(), db.size());
   ASSERT_EQ(parsed.cycles.size(), run.trace.size());
   for (std::size_t t = 0; t < run.trace.size(); ++t) {
-    const snapshot::Snapshot snap = run.trace[t];
+    const snapshot::Snapshot& snap = (*run.dense_trace)[t];
     ASSERT_EQ(parsed.cycles[t], snap.cycle);
     for (snapshot::SignalId i = 0; i < db.size(); ++i) {
       const unsigned width = db.info(i).width;
@@ -393,12 +465,6 @@ TEST(TraceDifferential, WindowVcdMatchesWholeTraceTail) {
 // actual change (and record()'s no-op on unchanged values makes a
 // superset exact).
 
-sim::CoreConfig preset_cfg(const char* name) {
-  sim::CoreConfig cfg;
-  EXPECT_TRUE(sim::lookup_core_preset(name, cfg)) << name;
-  return cfg;
-}
-
 /// Everything the campaign consumes must be bit-identical: the event
 /// stream (via VCD byte-compare, which serializes every change event),
 /// toggle coverage, the commit log, and the architectural end state.
@@ -435,8 +501,7 @@ TEST(TraceDifferential, DirtyCaptureMatchesDenseSweepAcrossConfigs) {
   // everything at once. The corpus covers wrong-path execution and
   // mispredict rollback (branch-mispredict and BTI seeds) plus random
   // programs.
-  for (const char* preset :
-       {"default", "no-spec", "mwait", "zenbleed", "full"}) {
+  for (const std::string& preset : sim::core_preset_names()) {
     sim::CoreConfig cfg = preset_cfg(preset);
     sim::Simulator dirty_sim(cfg);
     cfg.record_dense_trace = true;
