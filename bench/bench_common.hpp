@@ -131,21 +131,17 @@ inline Spread spread(std::vector<double> xs) {
 
 /// The repeat-and-interleave protocol of the gated benches. A single run
 /// of a ~1 s campaign swings by ±20–35% on a shared 4-vCPU VM, so a gate
-/// compares medians over rounds, never single runs. Each round calls
-/// `measure(side)` once per side 0..sides-1, forwards in even rounds and
-/// backwards in odd ones, so slow drift in the host's load does not
-/// favour one side. Runs max(rounds, kMinRounds) rounds and returns
-/// out[round][side].
-inline constexpr std::size_t kMinRounds = 7;
+/// compares medians over rounds, never single runs. Each of kRounds
+/// rounds calls `measure(side)` once per side 0..sides-1, forwards in
+/// even rounds and backwards in odd ones, so slow drift in the host's
+/// load does not favour one side. Returns out[round][side].
+inline constexpr std::size_t kRounds = 7;
 
 template <typename Measure>
 std::vector<std::vector<double>> interleaved_rounds(std::size_t sides,
-                                                    Measure&& measure,
-                                                    std::size_t rounds =
-                                                        kMinRounds) {
-  rounds = std::max(rounds, kMinRounds);
-  std::vector<std::vector<double>> out(rounds, std::vector<double>(sides));
-  for (std::size_t r = 0; r < rounds; ++r) {
+                                                    Measure&& measure) {
+  std::vector<std::vector<double>> out(kRounds, std::vector<double>(sides));
+  for (std::size_t r = 0; r < kRounds; ++r) {
     for (std::size_t k = 0; k < sides; ++k) {
       const std::size_t side = r % 2 == 0 ? k : sides - 1 - k;
       out[r][side] = measure(side);

@@ -9,7 +9,7 @@
 //   overhead(on+trace)  <= 3%
 //
 // Each campaign is sized to last at least ~1 s, and the modes run in
-// bench::interleaved_rounds (>= 7 rounds, order alternating). The gate
+// bench::interleaved_rounds (7 rounds, order alternating). The gate
 // reads the median of the per-round mode/off time ratios, so neither a
 // transient load spike nor slow drift in the host's load can pass for
 // instrumentation cost. Every mode's CampaignResult is verified
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   }
   bench::note("campaign: " + std::to_string(iterations) +
               " iterations, jobs=2, default preset; median of " +
-              std::to_string(bench::kMinRounds) +
+              std::to_string(bench::kRounds) +
               " interleaved rounds per mode");
 
   std::vector<core::CampaignResult> reference(kModeCount);

@@ -17,6 +17,7 @@
 // extra workers just time-slice one core, so the gate is skipped with a
 // visible notice instead of reporting a fake failure.
 #include <cstdio>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -112,9 +113,9 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kGateIters = 2000;
   std::printf("  scaling gate: %zu interleaved jobs=1/jobs=4 rounds, %llu "
               "iterations each\n",
-              bench::kMinRounds, static_cast<unsigned long long>(kGateIters));
+              bench::kRounds, static_cast<unsigned long long>(kGateIters));
   const std::size_t kGateJobs[] = {1, 4};
-  std::size_t gate_lp = 0;
+  std::optional<std::size_t> gate_lp;
   bool deterministic = true;
   const auto rounds = bench::interleaved_rounds(2, [&](std::size_t side) {
     core::CampaignSpec spec;
@@ -124,11 +125,11 @@ int main(int argc, char** argv) {
     spec.budget.iterations = kGateIters;
     const core::CampaignResult result = bench::run_spec(spec);
     const std::size_t lp = result.history.back().covered_pdlc;
-    if (gate_lp == 0) gate_lp = lp;
-    if (lp != gate_lp) {
+    if (!gate_lp) gate_lp = lp;
+    if (lp != *gate_lp) {
       std::printf("  !! determinism violation at jobs=%zu: lp-cov %zu != "
                   "%zu\n",
-                  kGateJobs[side], lp, gate_lp);
+                  kGateJobs[side], lp, *gate_lp);
       deterministic = false;
     }
     return static_cast<double>(result.history.size()) / result.seconds;
