@@ -26,6 +26,7 @@
 #include "serve/campaign_state.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -91,9 +92,9 @@ int main(int argc, char** argv) {
   std::string id;
   {
     serve::Client client(options.socket_path);
-    const serve::Json reply =
+    const util::Json reply =
         client.request("{\"verb\": \"submit\", \"spec\": \"" +
-                       serve::escape_json(spec.to_toml()) + "\"}");
+                       util::json_escape(spec.to_toml()) + "\"}");
     id = reply.find("id")->text;
   }
   double first_event_seconds = 0;
@@ -111,7 +112,7 @@ int main(int argc, char** argv) {
   // Let the campaign finish, then drain the whole log cold.
   for (;;) {
     serve::Client client(options.socket_path);
-    const serve::Json reply =
+    const util::Json reply =
         client.request("{\"verb\": \"status\", \"id\": \"" + id + "\"}");
     if (reply.find("status")->text != "running") break;
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -126,8 +127,8 @@ int main(int argc, char** argv) {
     std::string frame;
     while (client.next_raw(frame)) {
       ++frames;
-      const serve::Json parsed = serve::parse_json(frame);
-      const serve::Json* event = parsed.find("event");
+      const util::Json parsed = util::parse_json(frame);
+      const util::Json* event = parsed.find("event");
       if (event != nullptr && event->text == "end") break;
     }
     stream_seconds = seconds_since(start);

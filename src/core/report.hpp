@@ -41,9 +41,6 @@ std::string json_report(const CampaignResult& result,
 /// echo in Sweep::write_json.
 std::string spec_json(const CampaignSpec& spec);
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_escape(const std::string& text);
-
 /// The slice of a JSON report the triage pipeline consumes: the resolved
 /// spec plus each finding's signature and triggering program. Written by
 /// write_json_report; parsed back by parse_json_report for
@@ -59,10 +56,10 @@ struct ParsedReport {
   std::vector<ParsedReportFinding> findings;
 };
 
-/// Parse a report produced by write_json_report (a strict-enough JSON
-/// subset reader — objects, arrays, strings, numbers, bools). Throws
-/// SpecError with context on malformed input or on reports from builds
-/// that predate per-finding programs.
+/// Parse a report produced by write_json_report (read whole, through
+/// util::parse_json). Throws SpecError("JSON report: ...") on malformed
+/// input — util::JsonError's "line N:" text included — and on reports
+/// from builds that predate per-finding programs.
 ParsedReport parse_json_report(std::istream& is);
 
 }  // namespace specure::core

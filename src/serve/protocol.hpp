@@ -21,6 +21,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace specure::serve {
 
 /// Hard cap on one frame's payload (1 MiB — a full campaign spec TOML is
@@ -28,7 +30,8 @@ namespace specure::serve {
 constexpr std::uint32_t kMaxFramePayload = 1u << 20;
 
 /// Thrown for every protocol-layer failure: malformed frame, JSON parse
-/// error, unknown verb/field, missing required field. The daemon turns
+/// error (util::JsonError's "line N:" text), unknown verb/field, missing
+/// required field. The daemon turns
 /// these into error responses and keeps the connection's peer state
 /// intact — a bad frame never takes the server down.
 class ProtocolError : public std::runtime_error {
@@ -46,50 +49,6 @@ bool read_frame(int fd, std::string& payload);
 /// Write one frame (length prefix + payload). Throws ProtocolError if
 /// the payload exceeds kMaxFramePayload or the write fails.
 void write_frame(int fd, std::string_view payload);
-
-// ---- minimal JSON (the protocol subset) ----------------------------------
-
-/// A parsed JSON value. Objects remember the source line of every key so
-/// field errors can point at the offending line.
-struct Json {
-  enum class Kind : std::uint8_t {
-    kNull,
-    kBool,
-    kNumber,
-    kString,
-    kObject,
-    kArray
-  };
-
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string text;
-  // kObject, in source order; parallel arrays because a nested struct
-  // holding a Json by value would be an incomplete type, while
-  // std::vector of an incomplete element type is fine in C++17.
-  std::vector<std::string> keys;
-  std::vector<int> key_lines;   ///< source line of each key
-  std::vector<Json> values;     ///< parallel to keys
-  std::vector<Json> items;      ///< kArray
-
-  const Json* find(std::string_view key) const {
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (keys[i] == key) return &values[i];
-    }
-    return nullptr;
-  }
-};
-
-/// Parse one JSON document (objects, arrays, strings with \-escapes,
-/// numbers, true/false/null). Throws ProtocolError with "line N:"
-/// context on malformed input.
-Json parse_json(std::string_view text);
-
-/// Minimal JSON string escaping for response building (mirrors
-/// core::json_escape; duplicated here so the protocol layer does not
-/// pull in the report renderer).
-std::string escape_json(std::string_view text);
 
 // ---- requests -------------------------------------------------------------
 
@@ -124,13 +83,14 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Send one request frame and read one response frame.
-  Json request(const std::string& payload);
+  /// Send one request frame and read one response frame (a malformed
+  /// response throws util::JsonError).
+  util::Json request(const std::string& payload);
   /// Send one request frame without waiting for a response.
   void send(const std::string& payload);
   /// Read the next frame (for streaming responses). Returns false on
   /// clean EOF.
-  bool next(Json& out);
+  bool next(util::Json& out);
   /// Read the next frame without parsing (the CLI's `events` relay just
   /// reprints the payload). Returns false on clean EOF.
   bool next_raw(std::string& payload);

@@ -19,6 +19,7 @@
 #include "obs/prometheus.hpp"
 #include "serve/campaign_state.hpp"
 #include "serve/protocol.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace specure::serve {
@@ -41,9 +42,9 @@ std::string coverage_event_line(const core::CoverageEvent& e) {
 std::string finding_event_line(const core::VulnEvent& e) {
   return "{\"event\": \"finding\", \"iteration\": " +
          std::to_string(e.iteration) + ", \"key\": \"" +
-         escape_json(core::finding_key(e.report)) + "\", \"sink\": \"" +
-         escape_json(e.report.sink_signal) + "\", \"cwe\": \"" +
-         escape_json(e.report.cwe) + "\"}";
+         util::json_escape(core::finding_key(e.report)) + "\", \"sink\": \"" +
+         util::json_escape(e.report.sink_signal) + "\", \"cwe\": \"" +
+         util::json_escape(e.report.cwe) + "\"}";
 }
 
 std::string progress_event_line(const core::ProgressEvent& e) {
@@ -233,7 +234,8 @@ void Server::attach_session(Tenant& tenant) {
         if (t->session != nullptr) {
           std::string prom;
           obs::render_prometheus(t->session->metrics_snapshot(),
-                                 "id=\"" + escape_json(t->id) + "\"", prom);
+                                 "id=\"" + util::json_escape(t->id) + "\"",
+                                 prom);
           const std::string tmp = metrics_path + ".tmp";
           std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
           out << prom;
@@ -274,11 +276,14 @@ void Server::recover() {
       for (const std::string& line : read_lines(store_.events_path(id))) {
         std::uint64_t iteration = 0;
         try {
-          const Json parsed = parse_json(line);
-          const Json* field = parsed.find("iteration");
-          if (field == nullptr || field->kind != Json::Kind::kNumber) break;
+          const util::Json parsed = util::parse_json(line);
+          const util::Json* field = parsed.find("iteration");
+          if (field == nullptr || field->kind != util::Json::Kind::kNumber ||
+              field->number < 0 || field->number >= 0x1p64) {
+            break;
+          }
           iteration = static_cast<std::uint64_t>(field->number);
-        } catch (const ProtocolError&) {
+        } catch (const util::JsonError&) {
           break;  // torn line: drop it and everything after
         }
         if (iteration > merged) break;
@@ -445,8 +450,8 @@ void Server::handle_connection(int fd) {
     // stream — answer once if the socket still works, then drop the
     // connection. The daemon itself stays up.
     try {
-      write_frame(fd, std::string("{\"error\": \"") + escape_json(e.what()) +
-                          "\"}");
+      write_frame(fd, std::string("{\"error\": \"") +
+                          util::json_escape(e.what()) + "\"}");
     } catch (...) {
     }
   } catch (...) {
@@ -479,7 +484,7 @@ std::string Server::handle_request(const std::string& frame, int fd,
         set_status(tenant, "running");
       }
       runnable_cv_.notify_all();
-      return "{\"ok\": true, \"id\": \"" + escape_json(id) + "\"}";
+      return "{\"ok\": true, \"id\": \"" + util::json_escape(id) + "\"}";
     }
 
     if (req.verb == "list") {
@@ -489,8 +494,8 @@ std::string Server::handle_request(const std::string& frame, int fd,
       for (const auto& [id, tenant] : tenants_) {
         if (!first) out += ", ";
         first = false;
-        out += "{\"id\": \"" + escape_json(id) + "\", \"status\": \"" +
-               escape_json(tenant->status) + "\", \"iterations\": " +
+        out += "{\"id\": \"" + util::json_escape(id) + "\", \"status\": \"" +
+               util::json_escape(tenant->status) + "\", \"iterations\": " +
                std::to_string(tenant->merged.load(std::memory_order_relaxed)) +
                ", \"vulns\": " +
                std::to_string(tenant->vulns.load(std::memory_order_relaxed)) +
@@ -503,7 +508,7 @@ std::string Server::handle_request(const std::string& frame, int fd,
       // Daemon-wide scrape: daemon families plus every tenant under its
       // id label, one exposition.
       return "{\"ok\": true, \"metrics\": \"" +
-             escape_json(render_metrics("")) + "\"}";
+             util::json_escape(render_metrics("")) + "\"}";
     }
 
     if (req.verb == "shutdown") {
@@ -535,26 +540,23 @@ std::string Server::handle_request(const std::string& frame, int fd,
 
     if (req.verb == "metrics") {
       return "{\"ok\": true, \"metrics\": \"" +
-             escape_json(render_metrics(req.id)) + "\"}";
+             util::json_escape(render_metrics(req.id)) + "\"}";
     }
 
     if (req.verb == "status") {
       std::lock_guard<std::mutex> lk(mu_);
-      std::string out = "{\"ok\": true, \"id\": \"" + escape_json(req.id) +
-                        "\", \"status\": \"" + escape_json(tenant->status) +
-                        "\", \"iterations\": " +
-                        std::to_string(
-                            tenant->merged.load(std::memory_order_relaxed)) +
-                        ", \"vulns\": " +
-                        std::to_string(
-                            tenant->vulns.load(std::memory_order_relaxed)) +
-                        ", \"budget\": " +
-                        std::to_string(tenant->spec.budget.iterations) +
-                        ", \"iters_per_sec\": " +
-                        fmt_rate(tenant->rate_milli.load(
-                            std::memory_order_relaxed));
+      std::string out =
+          "{\"ok\": true, \"id\": \"" + util::json_escape(req.id) +
+          "\", \"status\": \"" + util::json_escape(tenant->status) +
+          "\", \"iterations\": " +
+          std::to_string(tenant->merged.load(std::memory_order_relaxed)) +
+          ", \"vulns\": " +
+          std::to_string(tenant->vulns.load(std::memory_order_relaxed)) +
+          ", \"budget\": " + std::to_string(tenant->spec.budget.iterations) +
+          ", \"iters_per_sec\": " +
+          fmt_rate(tenant->rate_milli.load(std::memory_order_relaxed));
       if (!tenant->detail.empty()) {
-        out += ", \"detail\": \"" + escape_json(tenant->detail) + "\"";
+        out += ", \"detail\": \"" + util::json_escape(tenant->detail) + "\"";
       }
       return out + "}";
     }
@@ -575,7 +577,7 @@ std::string Server::handle_request(const std::string& frame, int fd,
         set_status(*tenant, "paused");
         if (tenant->session) tenant->session->request_pause();
       }
-      return "{\"ok\": true, \"id\": \"" + escape_json(req.id) +
+      return "{\"ok\": true, \"id\": \"" + util::json_escape(req.id) +
              "\", \"status\": \"paused\"}";
     }
 
@@ -587,7 +589,7 @@ std::string Server::handle_request(const std::string& frame, int fd,
       }
       if (tenant->status == "paused") set_status(*tenant, "running");
       runnable_cv_.notify_all();
-      return "{\"ok\": true, \"id\": \"" + escape_json(req.id) +
+      return "{\"ok\": true, \"id\": \"" + util::json_escape(req.id) +
              "\", \"status\": \"running\"}";
     }
 
@@ -597,13 +599,13 @@ std::string Server::handle_request(const std::string& frame, int fd,
         set_status(*tenant, "cancelled");
         if (tenant->session) tenant->session->request_pause();
       }
-      return "{\"ok\": true, \"id\": \"" + escape_json(req.id) +
-             "\", \"status\": \"" + escape_json(tenant->status) + "\"}";
+      return "{\"ok\": true, \"id\": \"" + util::json_escape(req.id) +
+             "\", \"status\": \"" + util::json_escape(tenant->status) + "\"}";
     }
 
     throw ProtocolError("verb '" + req.verb + "' is not implemented");
   } catch (const std::exception& e) {
-    return std::string("{\"error\": \"") + escape_json(e.what()) + "\"}";
+    return std::string("{\"error\": \"") + util::json_escape(e.what()) + "\"}";
   }
 }
 
@@ -632,7 +634,7 @@ std::string Server::render_metrics(const std::string& id) {
                         static_cast<double>(active), "");
   }
   for (const Target& target : targets) {
-    const std::string labels = "id=\"" + escape_json(target.id) + "\"";
+    const std::string labels = "id=\"" + util::json_escape(target.id) + "\"";
     Tenant* t = target.tenant;
     // The session registry snapshot is mutex+atomic internally, safe to
     // take while the runner is mid-slice in the same session.
@@ -681,7 +683,7 @@ void Server::stream_events(int fd, const std::string& id, std::uint64_t from,
     const bool detach = shutdown_.load(std::memory_order_relaxed);
     if (!follow || is_terminal(status) || detach) {
       write_frame(fd, "{\"event\": \"end\", \"status\": \"" +
-                          escape_json(detach && !is_terminal(status)
+                          util::json_escape(detach && !is_terminal(status)
                                           ? "detached"
                                           : status) +
                           "\", \"iterations\": " + std::to_string(merged) +

@@ -3,7 +3,7 @@
 //  1. Instrument correctness — sharded counters merge exactly, log2
 //     histogram buckets land on their boundaries, snapshots taken while
 //     writers run never tear an individual cell, Chrome trace JSON is
-//     well-formed (validated with the serve layer's own JSON parser).
+//     well-formed (validated with the program's own JSON parser).
 //
 //  2. Result-neutrality — a campaign's CampaignResult is bit-identical
 //     with metrics/tracing on or off, across jobs counts, and an
@@ -23,7 +23,7 @@
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
-#include "serve/protocol.hpp"
+#include "util/json.hpp"
 
 namespace specure {
 namespace {
@@ -166,16 +166,16 @@ TEST(ObsTrace, ChromeTraceIsWellFormedJson) {
   std::ostringstream out;
   rec.write_chrome_trace(out);
   // The serve layer's strict JSON parser doubles as the validator.
-  const serve::Json doc = serve::parse_json(out.str());
-  ASSERT_EQ(doc.kind, serve::Json::Kind::kObject);
-  const serve::Json* events = doc.find("traceEvents");
+  const util::Json doc = util::parse_json(out.str());
+  ASSERT_EQ(doc.kind, util::Json::Kind::kObject);
+  const util::Json* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   // process_name + 2 thread-name metadata records + 3 spans.
   ASSERT_EQ(events->items.size(), 6u);
   std::size_t spans = 0;
   bool saw_args = false;
-  for (const serve::Json& e : events->items) {
-    const serve::Json* ph = e.find("ph");
+  for (const util::Json& e : events->items) {
+    const util::Json* ph = e.find("ph");
     ASSERT_NE(ph, nullptr);
     if (ph->text == "X") {
       ++spans;
@@ -183,7 +183,7 @@ TEST(ObsTrace, ChromeTraceIsWellFormedJson) {
       EXPECT_NE(e.find("cat"), nullptr);
       EXPECT_NE(e.find("ts"), nullptr);
       EXPECT_NE(e.find("dur"), nullptr);
-      if (const serve::Json* args = e.find("args")) {
+      if (const util::Json* args = e.find("args")) {
         if (args->find("assigned_worker") != nullptr) saw_args = true;
       }
     }
@@ -203,12 +203,12 @@ TEST(ObsTrace, RingOverwritesOldestAndReportsDrops) {
   EXPECT_EQ(rec.dropped(), 1500u - 1024u);
   std::ostringstream out;
   rec.write_chrome_trace(out);
-  const serve::Json doc = serve::parse_json(out.str());
-  ASSERT_EQ(doc.kind, serve::Json::Kind::kObject);
+  const util::Json doc = util::parse_json(out.str());
+  ASSERT_EQ(doc.kind, util::Json::Kind::kObject);
   // The kept window is the newest 1024 spans, oldest first.
   std::vector<double> kept;
-  for (const serve::Json& e : doc.find("traceEvents")->items) {
-    const serve::Json* ph = e.find("ph");
+  for (const util::Json& e : doc.find("traceEvents")->items) {
+    const util::Json* ph = e.find("ph");
     if (ph == nullptr || ph->text != "X") continue;
     kept.push_back(e.find("args")->find("iteration")->number);
   }
@@ -318,13 +318,13 @@ TEST(ObsNeutrality, ResultsIdenticalWithMetricsAndTracingOnOrOff) {
     ASSERT_TRUE(in.good());
     std::stringstream buf;
     buf << in.rdbuf();
-    const serve::Json doc = serve::parse_json(buf.str());
-    ASSERT_EQ(doc.kind, serve::Json::Kind::kObject);
-    const serve::Json* events = doc.find("traceEvents");
+    const util::Json doc = util::parse_json(buf.str());
+    ASSERT_EQ(doc.kind, util::Json::Kind::kObject);
+    const util::Json* events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);
     bool saw_generate = false, saw_execute = false, saw_merge = false;
-    for (const serve::Json& e : events->items) {
-      const serve::Json* name = e.find("name");
+    for (const util::Json& e : events->items) {
+      const util::Json* name = e.find("name");
       if (name == nullptr) continue;
       if (name->text == "generate") saw_generate = true;
       if (name->text == "execute") saw_execute = true;

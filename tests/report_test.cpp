@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <utility>
-#include <vector>
 
 #include "core/report.hpp"
+#include "util/json.hpp"
 
 namespace specure::core {
 namespace {
@@ -94,14 +93,6 @@ TEST(Report, JsonHistoryDownsampled) {
   EXPECT_GE(count, 4u);
 }
 
-TEST(Report, JsonEscaping) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
-}
-
 TEST(Report, TextEchoesTheScenario) {
   CampaignSpec spec = CampaignSpec::preset("zenbleed");
   spec.rng_seed = 77;
@@ -114,32 +105,6 @@ TEST(Report, TextEchoesTheScenario) {
   EXPECT_NE(text.find("zenbleed=on"), std::string::npos);
 }
 
-// Minimal scanner for the flat {"key": value, ...} spec object the
-// report embeds (no nested objects inside it, by construction).
-std::vector<std::pair<std::string, std::string>> parse_flat_object(
-    const std::string& object) {
-  std::vector<std::pair<std::string, std::string>> out;
-  std::size_t pos = 0;
-  while ((pos = object.find('"', pos)) != std::string::npos) {
-    const std::size_t key_end = object.find('"', pos + 1);
-    const std::string key = object.substr(pos + 1, key_end - pos - 1);
-    std::size_t value_begin = object.find(':', key_end) + 1;
-    while (object[value_begin] == ' ') ++value_begin;
-    std::size_t value_end;
-    if (object[value_begin] == '"') {
-      value_end = object.find('"', value_begin + 1) + 1;
-      out.emplace_back(key, object.substr(value_begin + 1,
-                                          value_end - value_begin - 2));
-    } else {
-      value_end = object.find_first_of(",}", value_begin);
-      out.emplace_back(key, object.substr(value_begin,
-                                          value_end - value_begin));
-    }
-    pos = value_end;
-  }
-  return out;
-}
-
 TEST(Report, JsonSpecEchoRoundTripsIntoAnEqualSpec) {
   CampaignSpec spec = CampaignSpec::preset("cache-monitor");
   spec.set("rob_entries", "32");
@@ -149,17 +114,14 @@ TEST(Report, JsonSpecEchoRoundTripsIntoAnEqualSpec) {
   const CampaignResult result = sample_result();
   const std::string json = json_report(result, 64, &spec);
 
-  // Extract the flat "spec" object.
-  const std::size_t begin = json.find("\"spec\": {");
-  ASSERT_NE(begin, std::string::npos);
-  const std::size_t open = json.find('{', begin);
-  const std::size_t close = json.find('}', open);
-  const std::string object = json.substr(open, close - open + 1);
-
-  // Re-applying every echoed key yields the original spec.
+  // Re-applying every echoed key of the flat "spec" object yields the
+  // original spec.
+  const util::Json doc = util::parse_json(json);
+  const util::Json* object = doc.find("spec");
+  ASSERT_NE(object, nullptr);
   CampaignSpec rebuilt;
-  for (const auto& [key, value] : parse_flat_object(object)) {
-    rebuilt.set(key, value);
+  for (std::size_t i = 0; i < object->keys.size(); ++i) {
+    rebuilt.set(object->keys[i], object->values[i].text);
   }
   EXPECT_TRUE(rebuilt == spec);
   EXPECT_EQ(rebuilt.core.rob_entries, 32u);
@@ -176,6 +138,32 @@ TEST(Report, JsonSpecEchoRoundTripsIntoAnEqualSpec) {
 
   // Without a spec the report omits the echo (back-compat schema).
   EXPECT_EQ(json_report(result).find("\"spec\""), std::string::npos);
+}
+
+TEST(Report, ParsedSpecKeepsU64SeedAndFractionalIntervalExactly) {
+  CampaignSpec spec = CampaignSpec::preset("full");
+  spec.rng_seed = 18446744073709551557ull;  // above 2^53: a double rounds it
+  spec.state_out = "run.state";
+  spec.state_interval = 0.1;
+
+  std::istringstream in(json_report(sample_result(), 64, &spec));
+  const ParsedReport parsed = parse_json_report(in);
+  ASSERT_TRUE(parsed.has_spec);
+  EXPECT_EQ(parsed.spec.rng_seed, 18446744073709551557ull);
+  EXPECT_EQ(parsed.spec.state_interval, 0.1);
+  EXPECT_TRUE(parsed.spec == spec);
+}
+
+TEST(Report, DeeplyNestedReportIsASpecErrorNamingTheLine) {
+  std::istringstream in(std::string(100000, '['));
+  try {
+    parse_json_report(in);
+    FAIL();
+  } catch (const SpecError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("JSON report: line 1: nesting", 0),
+              0u)
+        << e.what();
+  }
 }
 
 TEST(Report, EmptyCampaign) {

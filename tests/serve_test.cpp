@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/report.hpp"
@@ -28,6 +29,7 @@
 #include "serve/server.hpp"
 #include "serve/state_io.hpp"
 #include "util/fs.hpp"
+#include "util/json.hpp"
 
 namespace specure::serve {
 namespace {
@@ -549,12 +551,30 @@ TEST(Protocol, MissingRequiredFieldIsNamed) {
   }
 }
 
+TEST(Protocol, EventIndexOutsideU64IsRejected) {
+  for (const char* from : {"-1", "1e300", "18446744073709551616"}) {
+    EXPECT_THROW(parse_request(R"({"verb": "events", "id": "c1", "from": )" +
+                               std::string(from) + "}"),
+                 ProtocolError)
+        << from;
+  }
+  EXPECT_EQ(parse_request(R"({"verb": "events", "id": "c1", "from": 7})").from,
+            7u);
+}
+
 TEST(Protocol, MalformedJsonReportsTheLine) {
-  try {
-    parse_json("{\"a\": 1,\n\"b\": }");
-    FAIL();
-  } catch (const ProtocolError& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  // util::JsonError's text, mapped to ProtocolError; nesting past the
+  // bound is one more malformed frame.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"{\"a\": 1,\n\"b\": }", "line 2: "},
+      {std::string(200000, '['), "line 1: nesting deeper than 64 levels"}};
+  for (const auto& [frame, prefix] : cases) {
+    try {
+      parse_request(frame);
+      FAIL();
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u) << e.what();
+    }
   }
 }
 
@@ -618,9 +638,10 @@ class ServeDaemon : public ::testing::Test {
 
   std::string submit(const core::CampaignSpec& spec) {
     Client client(socket_);
-    const Json reply = client.request("{\"verb\": \"submit\", \"spec\": \"" +
-                                      escape_json(spec.to_toml()) + "\"}");
-    const Json* id = reply.find("id");
+    const util::Json reply =
+        client.request("{\"verb\": \"submit\", \"spec\": \"" +
+                       util::json_escape(spec.to_toml()) + "\"}");
+    const util::Json* id = reply.find("id");
     EXPECT_NE(id, nullptr);
     return id != nullptr ? id->text : "";
   }
@@ -628,9 +649,9 @@ class ServeDaemon : public ::testing::Test {
   std::string wait_done(const std::string& id, int timeout_ms = 60000) {
     for (int waited = 0; waited < timeout_ms; waited += 20) {
       Client client(socket_);
-      const Json reply = client.request("{\"verb\": \"status\", \"id\": \"" +
-                                        id + "\"}");
-      const Json* status = reply.find("status");
+      const util::Json reply =
+          client.request("{\"verb\": \"status\", \"id\": \"" + id + "\"}");
+      const util::Json* status = reply.find("status");
       if (status != nullptr &&
           (status->text == "done" || status->text == "failed")) {
         return status->text;
@@ -717,9 +738,9 @@ TEST_F(ServeDaemon, ShutdownMidCampaignRecoversAndMatchesSolo) {
   // Let it make some progress, then stop the daemon mid-campaign.
   for (int waited = 0; waited < 30000; waited += 10) {
     Client client(socket_);
-    const Json reply =
+    const util::Json reply =
         client.request("{\"verb\": \"status\", \"id\": \"" + id + "\"}");
-    const Json* iters = reply.find("iterations");
+    const util::Json* iters = reply.find("iterations");
     if (iters != nullptr && iters->number >= 8) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -749,9 +770,9 @@ TEST_F(ServeDaemon, ShutdownMidCampaignRecoversAndMatchesSolo) {
   std::uint64_t last_progress = 0;
   std::size_t progress_events = 0;
   while (std::getline(events, line)) {
-    const Json parsed_line = parse_json(line);
-    const Json* event = parsed_line.find("event");
-    const Json* iteration = parsed_line.find("iteration");
+    const util::Json parsed_line = util::parse_json(line);
+    const util::Json* event = parsed_line.find("event");
+    const util::Json* iteration = parsed_line.find("iteration");
     ASSERT_NE(event, nullptr);
     ASSERT_NE(iteration, nullptr);
     if (event->text == "progress") {
@@ -768,27 +789,27 @@ TEST_F(ServeDaemon, MalformedFramesGetErrorsAndTheDaemonStaysUp) {
   start("malformed");
   {
     Client client(socket_);
-    const Json reply = client.request("{\"verb\": \"submitt\"}");
-    const Json* error = reply.find("error");
+    const util::Json reply = client.request("{\"verb\": \"submitt\"}");
+    const util::Json* error = reply.find("error");
     ASSERT_NE(error, nullptr);
     EXPECT_NE(error->text.find("did you mean 'submit'"), std::string::npos);
   }
   {
     Client client(socket_);
-    const Json reply = client.request("this is not json");
+    const util::Json reply = client.request("this is not json");
     ASSERT_NE(reply.find("error"), nullptr);
   }
   {
     Client client(socket_);
-    const Json reply =
+    const util::Json reply =
         client.request("{\"verb\": \"status\", \"id\": \"c9999\"}");
-    const Json* error = reply.find("error");
+    const util::Json* error = reply.find("error");
     ASSERT_NE(error, nullptr);
     EXPECT_NE(error->text.find("c9999"), std::string::npos);
   }
   // After all of that the daemon still serves.
   Client client(socket_);
-  const Json reply = client.request("{\"verb\": \"list\"}");
+  const util::Json reply = client.request("{\"verb\": \"list\"}");
   EXPECT_NE(reply.find("campaigns"), nullptr);
 }
 
@@ -798,7 +819,7 @@ TEST_F(ServeDaemon, PauseHaltsProgressAndResumeCompletes) {
   const std::string id = submit(spec);
   {
     Client client(socket_);
-    const Json reply =
+    const util::Json reply =
         client.request("{\"verb\": \"pause\", \"id\": \"" + id + "\"}");
     ASSERT_EQ(reply.find("error"), nullptr);
   }
@@ -807,7 +828,7 @@ TEST_F(ServeDaemon, PauseHaltsProgressAndResumeCompletes) {
   std::uint64_t frozen = 0;
   {
     Client client(socket_);
-    const Json reply =
+    const util::Json reply =
         client.request("{\"verb\": \"status\", \"id\": \"" + id + "\"}");
     frozen = static_cast<std::uint64_t>(reply.find("iterations")->number);
     EXPECT_EQ(reply.find("status")->text, "paused");
@@ -815,14 +836,14 @@ TEST_F(ServeDaemon, PauseHaltsProgressAndResumeCompletes) {
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   {
     Client client(socket_);
-    const Json reply =
+    const util::Json reply =
         client.request("{\"verb\": \"status\", \"id\": \"" + id + "\"}");
     EXPECT_EQ(static_cast<std::uint64_t>(reply.find("iterations")->number),
               frozen);
   }
   {
     Client client(socket_);
-    const Json reply =
+    const util::Json reply =
         client.request("{\"verb\": \"resume\", \"id\": \"" + id + "\"}");
     ASSERT_EQ(reply.find("error"), nullptr);
   }

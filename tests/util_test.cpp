@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "util/bits.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -141,6 +143,94 @@ TEST(Strings, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, "."), "a.b.c");
   EXPECT_EQ(join({}, "."), "");
   EXPECT_EQ(join({"x"}, "."), "x");
+}
+
+// Parse `text` expecting a JsonError; returns its message.
+std::string json_error(const std::string& text) {
+  try {
+    parse_json(text);
+  } catch (const JsonError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no JsonError for: " << text.substr(0, 40);
+  return "";
+}
+
+std::string nested_arrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(Json, ParsesObjectsArraysAndScalars) {
+  const Json doc = parse_json(
+      "{\"s\": \"a\\\"b\\n\\u0001\", \"n\": -2.5e1, \"t\": true,\n"
+      " \"z\": null, \"a\": [1, {}, []]}");
+  ASSERT_EQ(doc.kind, Json::Kind::kObject);
+  EXPECT_EQ(doc.find("s")->text, std::string("a\"b\n\x01"));
+  EXPECT_EQ(doc.find("n")->number, -25.0);
+  EXPECT_TRUE(doc.find("t")->boolean);
+  EXPECT_EQ(doc.find("z")->kind, Json::Kind::kNull);
+  EXPECT_EQ(doc.find("a")->items.size(), 3u);
+  EXPECT_EQ(doc.key_lines[3], 2);
+  EXPECT_EQ(doc.find("missing"), nullptr);
+}
+
+TEST(Json, ScalarsKeepTheirSourceToken) {
+  const Json doc = parse_json("[18446744073709551557, 0.1, true, false]");
+  EXPECT_EQ(doc.items[0].text, "18446744073709551557");
+  EXPECT_EQ(doc.items[1].text, "0.1");
+  EXPECT_EQ(doc.items[1].number, 0.1);
+  EXPECT_EQ(doc.items[2].text, "true");
+  EXPECT_EQ(doc.items[3].text, "false");
+}
+
+TEST(Json, MalformedJsonReportsTheLine) {
+  const std::string message = json_error("{\"a\": 1,\n\"b\": }");
+  EXPECT_EQ(message.rfind("line 2: ", 0), 0u) << message;
+}
+
+TEST(Json, RejectsTrailingDataAndMalformedNumbers) {
+  EXPECT_NE(json_error("{} {}").find("trailing"), std::string::npos);
+  EXPECT_NE(json_error("[1-2]").find("malformed number '1-2'"),
+            std::string::npos);
+  EXPECT_NE(json_error("[1e]").find("malformed number"), std::string::npos);
+  EXPECT_NE(json_error("[-]").find("malformed number"), std::string::npos);
+}
+
+TEST(Json, HundredThousandOpenBracketsThrowNamingLineOne) {
+  const std::string message = json_error(std::string(100000, '['));
+  EXPECT_EQ(message, "line 1: nesting deeper than 64 levels");
+}
+
+TEST(Json, NestingBoundIsExactlyKMaxJsonDepth) {
+  static_assert(kMaxJsonDepth == 64);
+  EXPECT_NO_THROW(parse_json(nested_arrays(kMaxJsonDepth)));
+  EXPECT_NE(json_error(nested_arrays(kMaxJsonDepth + 1)).find("nesting"),
+            std::string::npos);
+  // Objects count as levels too, and siblings do not add up.
+  std::string objects;
+  for (int i = 0; i < kMaxJsonDepth; ++i) objects += "{\"k\": ";
+  objects += "0" + std::string(kMaxJsonDepth, '}');
+  EXPECT_NO_THROW(parse_json(objects));
+  EXPECT_NO_THROW(parse_json("[" + nested_arrays(kMaxJsonDepth - 1) + ", " +
+                             nested_arrays(kMaxJsonDepth - 1) + "]"));
+  EXPECT_NE(json_error("{\"k\": " + nested_arrays(kMaxJsonDepth) + "}")
+                .find("nesting"),
+            std::string::npos);
+}
+
+TEST(Json, Escaping) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
+  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+  const std::string all_bytes = [] {
+    std::string out;
+    for (int c = 1; c < 256; ++c) out.push_back(static_cast<char>(c));
+    return out;
+  }();
+  EXPECT_EQ(parse_json("\"" + json_escape(all_bytes) + "\"").text, all_bytes);
 }
 
 }  // namespace

@@ -57,6 +57,7 @@
 #include "sim/structure.hpp"
 #include "triage/triage.hpp"
 #include "util/fs.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -344,7 +345,8 @@ const std::vector<FlagDef> kRunFlags = {
     {"--state-out", true,
      "write the durable campaign state to FILE (sugar for state_out=)"},
     {"--state-interval", true,
-     "seconds between cadence state writes (sugar for state_interval=)"},
+     "seconds between cadence state writes, 0 = only at pause and end "
+     "(sugar for state_interval=)"},
     {"--resume", true, "resume a campaign from a state FILE"},
     {"--trace-out", true,
      "write a Chrome/Perfetto trace of the pipeline to FILE "
@@ -424,11 +426,13 @@ int cmd_run(const Args& args) {
   core::Session session(spec);
   attach_console_observers(session, args.has("--quiet"));
   if (!spec.state_out.empty()) {
+    // state_interval = 0 means no cadence writes; the pause and the end
+    // always write.
     session.on_frontier(
         [&spec](const core::CampaignFrontier& f) {
           serve::save_state_file(spec.state_out, spec, f);
         },
-        spec.state_interval);
+        spec.state_interval > 0 ? spec.state_interval : 1e18);
   }
   if (resuming) session.resume_from(std::move(state.frontier));
 
@@ -831,39 +835,39 @@ const std::vector<FlagDef> kEventsFlags = {
 
 /// Render a daemon response: errors to stderr (exit 1), otherwise one
 /// human-readable line from the well-known fields.
-int print_reply(const serve::Json& reply) {
-  if (const serve::Json* error = reply.find("error")) {
+int print_reply(const util::Json& reply) {
+  if (const util::Json* error = reply.find("error")) {
     std::fprintf(stderr, "specure: %s\n", error->text.c_str());
     return kExitError;
   }
   std::string line;
-  if (const serve::Json* id = reply.find("id")) line += id->text;
-  if (const serve::Json* status = reply.find("status")) {
+  if (const util::Json* id = reply.find("id")) line += id->text;
+  if (const util::Json* status = reply.find("status")) {
     line += (line.empty() ? "" : ": ") + status->text;
   }
-  if (const serve::Json* iters = reply.find("iterations")) {
+  if (const util::Json* iters = reply.find("iterations")) {
     line += "  iterations=" +
             std::to_string(static_cast<std::uint64_t>(iters->number));
     // Merged-progress against the budget, when the daemon reports one.
-    if (const serve::Json* budget = reply.find("budget")) {
+    if (const util::Json* budget = reply.find("budget")) {
       if (budget->number > 0) {
         line +=
             "/" + std::to_string(static_cast<std::uint64_t>(budget->number));
       }
     }
   }
-  if (const serve::Json* vulns = reply.find("vulns")) {
+  if (const util::Json* vulns = reply.find("vulns")) {
     line += "  vulns=" +
             std::to_string(static_cast<std::uint64_t>(vulns->number));
   }
-  if (const serve::Json* rate = reply.find("iters_per_sec")) {
+  if (const util::Json* rate = reply.find("iters_per_sec")) {
     if (rate->number > 0) {
       char buf[32];
       std::snprintf(buf, sizeof(buf), "%.1f", rate->number);
       line += std::string("  rate=") + buf + " it/s";
     }
   }
-  if (const serve::Json* detail = reply.find("detail")) {
+  if (const util::Json* detail = reply.find("detail")) {
     line += "  (" + detail->text + ")";
   }
   std::printf("%s\n", line.empty() ? "ok" : line.c_str());
@@ -881,7 +885,7 @@ int send_id_verb(const char* verb, const Args& args) {
   serve::Client client(args.get("--socket", kDefaultSocket));
   return print_reply(client.request(
       std::string("{\"verb\": \"") + verb + "\", \"id\": \"" +
-      serve::escape_json(args.positional[0]) + "\"}"));
+      util::json_escape(args.positional[0]) + "\"}"));
 }
 
 int cmd_submit(const Args& args) {
@@ -900,14 +904,14 @@ int cmd_submit(const Args& args) {
   spec.validate();  // reject locally before bothering the daemon
 
   serve::Client client(args.get("--socket", kDefaultSocket));
-  const serve::Json reply = client.request(
+  const util::Json reply = client.request(
       "{\"verb\": \"submit\", \"spec\": \"" +
-      serve::escape_json(spec.to_toml()) + "\"}");
-  if (const serve::Json* error = reply.find("error")) {
+      util::json_escape(spec.to_toml()) + "\"}");
+  if (const util::Json* error = reply.find("error")) {
     std::fprintf(stderr, "specure: %s\n", error->text.c_str());
     return kExitError;
   }
-  const serve::Json* id = reply.find("id");
+  const util::Json* id = reply.find("id");
   std::printf("%s\n", id != nullptr ? id->text.c_str() : "ok");
   return kExitOk;
 }
@@ -921,17 +925,17 @@ int cmd_status(const Args& args) {
   }
   // No id: list every campaign the daemon knows.
   serve::Client client(args.get("--socket", kDefaultSocket));
-  const serve::Json reply = client.request("{\"verb\": \"list\"}");
-  if (const serve::Json* error = reply.find("error")) {
+  const util::Json reply = client.request("{\"verb\": \"list\"}");
+  if (const util::Json* error = reply.find("error")) {
     std::fprintf(stderr, "specure: %s\n", error->text.c_str());
     return kExitError;
   }
-  const serve::Json* campaigns = reply.find("campaigns");
+  const util::Json* campaigns = reply.find("campaigns");
   if (campaigns == nullptr || campaigns->items.empty()) {
     std::printf("no campaigns\n");
     return kExitOk;
   }
-  for (const serve::Json& row : campaigns->items) {
+  for (const util::Json& row : campaigns->items) {
     print_reply(row);
   }
   return kExitOk;
@@ -946,7 +950,7 @@ int cmd_events(const Args& args) {
   }
   serve::Client client(args.get("--socket", kDefaultSocket));
   client.send("{\"verb\": \"events\", \"id\": \"" +
-              serve::escape_json(args.positional[0]) +
+              util::json_escape(args.positional[0]) +
               "\", \"from\": " + args.get("--from", "0") +
               ", \"follow\": " +
               (args.has("--no-follow") ? "false" : "true") + "}");
@@ -954,12 +958,12 @@ int cmd_events(const Args& args) {
   while (client.next_raw(raw)) {
     std::printf("%s\n", raw.c_str());
     std::fflush(stdout);
-    const serve::Json frame = serve::parse_json(raw);
-    if (const serve::Json* error = frame.find("error")) {
+    const util::Json frame = util::parse_json(raw);
+    if (const util::Json* error = frame.find("error")) {
       std::fprintf(stderr, "specure: %s\n", error->text.c_str());
       return kExitError;
     }
-    const serve::Json* event = frame.find("event");
+    const util::Json* event = frame.find("event");
     if (event != nullptr && event->text == "end") return kExitOk;
   }
   std::fprintf(stderr, "specure: daemon closed the event stream\n");
@@ -975,15 +979,15 @@ int cmd_metrics(const Args& args) {
   serve::Client client(args.get("--socket", kDefaultSocket));
   std::string request = "{\"verb\": \"metrics\"";
   if (!args.positional.empty()) {
-    request += ", \"id\": \"" + serve::escape_json(args.positional[0]) + "\"";
+    request += ", \"id\": \"" + util::json_escape(args.positional[0]) + "\"";
   }
   request += "}";
-  const serve::Json reply = client.request(request);
-  if (const serve::Json* error = reply.find("error")) {
+  const util::Json reply = client.request(request);
+  if (const util::Json* error = reply.find("error")) {
     std::fprintf(stderr, "specure: %s\n", error->text.c_str());
     return kExitError;
   }
-  const serve::Json* metrics = reply.find("metrics");
+  const util::Json* metrics = reply.find("metrics");
   if (metrics == nullptr) {
     std::fprintf(stderr, "specure: daemon reply carried no metrics field\n");
     return kExitError;
